@@ -51,16 +51,13 @@ def diameter(net: PetriNet) -> int:
     """Longest shortest directed path, in edges, over reachable node pairs."""
     if not net.arcs:
         raise MeasureError("diameter needs at least one arc")
-    succ: dict[str, list[str]] = {}
-    for src, dst in net.arcs:
-        succ.setdefault(src, []).append(dst)
     best = 0
     for source in net.places + net.transitions:
         dist = {source: 0}
         queue = deque([source])
         while queue:
             node = queue.popleft()
-            for nxt in succ.get(node, ()):
+            for nxt in net.postset(node):
                 if nxt not in dist:
                     dist[nxt] = dist[node] + 1
                     queue.append(nxt)

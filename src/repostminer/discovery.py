@@ -499,11 +499,8 @@ def reduce_net(net: PetriNet) -> PetriNet:
     trimmed away, so this is a structural display form only.  Analysis
     (replay, enrichment, entropy) always runs on the unreduced net.
     """
-    pre: dict[str, list[str]] = {n: [] for n in net.places + net.transitions}
-    post: dict[str, list[str]] = {n: [] for n in net.places + net.transitions}
-    for src, dst in net.arcs:
-        post[src].append(dst)
-        pre[dst].append(src)
+    pre = {n: list(net.preset(n)) for n in net.places + net.transitions}
+    post = {n: list(net.postset(n)) for n in net.places + net.transitions}
     alive_places = set(net.places)
     alive_transitions = set(net.transitions)
     marked = {p for p, n in net.initial_marking.items() if n > 0}

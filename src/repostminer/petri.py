@@ -8,7 +8,6 @@ can be explored with plain dict lookups.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, NamedTuple
 
@@ -48,7 +47,7 @@ class Marking:
         return 0
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self.tokens)
+        return {p: n for p, n in self.tokens if n > 0}
 
     def total(self) -> int:
         return sum(n for _, n in self.tokens)
@@ -63,6 +62,8 @@ class PetriNet:
 
     ``labels`` maps every transition id to its label or ``None`` for silent.
     Arcs connect places to transitions or transitions to places, once each.
+    ``kernel`` is the net compiled for firing, built once with the net; it
+    also holds the pre- and postsets.
     """
 
     places: tuple[str, ...]
@@ -70,6 +71,7 @@ class PetriNet:
     arcs: tuple[tuple[str, str], ...]
     labels: Mapping[str, str | None]
     initial_marking: Mapping[str, int] = field(default_factory=dict)
+    kernel: Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pset, tset = set(self.places), set(self.transitions)
@@ -81,26 +83,21 @@ class PetriNet:
             raise NetDefinitionError("labels must cover exactly the transitions")
         if len(set(self.arcs)) != len(self.arcs):
             raise NetDefinitionError("duplicate arcs")
-        pre: dict[str, list[str]] = {n: [] for n in self.places + self.transitions}
-        post: dict[str, list[str]] = {n: [] for n in self.places + self.transitions}
         for src, dst in self.arcs:
             if not ((src in pset and dst in tset) or (src in tset and dst in pset)):
                 raise NetDefinitionError(f"arc ({src}, {dst}) is not place<->transition")
-            post[src].append(dst)
-            pre[dst].append(src)
         for place, n in self.initial_marking.items():
             if place not in pset:
                 raise NetDefinitionError(f"marked place {place} does not exist")
             if n < 0:
                 raise NetDefinitionError(f"negative initial tokens at {place}")
-        object.__setattr__(self, "_pre", {k: tuple(v) for k, v in pre.items()})
-        object.__setattr__(self, "_post", {k: tuple(v) for k, v in post.items()})
+        object.__setattr__(self, "kernel", Kernel(self))
 
     def preset(self, node: str) -> tuple[str, ...]:
-        return self._pre[node]  # type: ignore[attr-defined]
+        return self.kernel.pre[node]
 
     def postset(self, node: str) -> tuple[str, ...]:
-        return self._post[node]  # type: ignore[attr-defined]
+        return self.kernel.post[node]
 
     def label(self, transition: str) -> str | None:
         return self.labels[transition]
@@ -109,7 +106,7 @@ class PetriNet:
         return self.labels[transition] is None
 
     def silent_transitions(self) -> tuple[str, ...]:
-        return tuple(t for t in self.transitions if self.labels[t] is None)
+        return self.kernel.silent
 
     def initial(self) -> Marking:
         return Marking.of(self.initial_marking)
@@ -140,35 +137,82 @@ class ReachabilityGraph:
         return out
 
 
+def remove_tokens(counts: dict[str, int], places: Iterable[str]) -> None:
+    """Take one token from each place, in place; emptied places drop out."""
+    for p in places:
+        left = counts[p] - 1
+        if left:
+            counts[p] = left
+        else:
+            del counts[p]
+
+
+def add_tokens(counts: dict[str, int], places: Iterable[str]) -> None:
+    for p in places:
+        counts[p] = counts.get(p, 0) + 1
+
+
+class Kernel:
+    """A net compiled for firing: the one implementation of its semantics.
+
+    Token counts are dicts holding only positive counts.  A transition is
+    enabled when each input place holds a token; firing it takes one token
+    from each pure input place and puts one on each pure output place, so a
+    self-loop place keeps its token.  ``silent`` and the tuples of
+    ``by_label`` keep net order, the tie-break order of every search.
+    """
+
+    __slots__ = ("pre", "post", "pure_in", "pure_out", "needs", "silent", "by_label")
+
+    def __init__(self, net: PetriNet) -> None:
+        nodes, ts = net.places + net.transitions, net.transitions
+        pre: dict[str, list[str]] = {n: [] for n in nodes}
+        post: dict[str, list[str]] = {n: [] for n in nodes}
+        for src, dst in net.arcs:
+            post[src].append(dst)
+            pre[dst].append(src)
+        self.pre = {n: tuple(pre[n]) for n in nodes}
+        self.post = {n: tuple(post[n]) for n in nodes}
+        self.pure_in = {t: tuple(p for p in pre[t] if p not in post[t]) for t in ts}
+        self.pure_out = {t: tuple(p for p in post[t] if p not in pre[t]) for t in ts}
+        self.needs = {t: frozenset(pre[t]) for t in ts}
+        self.silent = tuple(t for t in ts if net.labels[t] is None)
+        self.by_label: dict[str, tuple[str, ...]] = {}
+        for t in ts:
+            if (label := net.labels[t]) is not None:
+                self.by_label[label] = self.by_label.get(label, ()) + (t,)
+
+    def can_fire(self, counts: Mapping[str, int], t: str) -> bool:
+        return counts.keys() >= self.needs[t]
+
+    def enabled(self, counts: Mapping[str, int],
+                among: Iterable[str] | None = None) -> list[str]:
+        """Enabled transitions of ``among`` (default: all), in that order."""
+        keys, needs = counts.keys(), self.needs
+        return [t for t in (needs if among is None else among) if keys >= needs[t]]
+
+    def fire(self, counts: Mapping[str, int], t: str) -> dict[str, int]:
+        """The counts after firing ``t``, which the caller knows is enabled."""
+        succ = dict(counts)
+        remove_tokens(succ, self.pure_in[t])
+        add_tokens(succ, self.pure_out[t])
+        return succ
+
+
 def enabled(net: PetriNet, marking: Marking) -> list[str]:
     """Transitions whose every input place holds a token, in net order."""
-    counts = marking.as_dict()
-    return [t for t in net.transitions
-            if all(counts.get(p, 0) >= 1 for p in net.preset(t))]
-
-
-def is_enabled(net: PetriNet, marking: Marking, transition: str) -> bool:
-    counts = marking.as_dict()
-    return all(counts.get(p, 0) >= 1 for p in net.preset(transition))
+    return net.kernel.enabled(marking.as_dict())
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Fire an enabled transition: consume one token per input place and
     produce one per output place; self-loop places keep their token."""
     counts = marking.as_dict()
-    pre = net.preset(transition)
-    post = net.postset(transition)
-    for p in pre:
-        if counts.get(p, 0) < 1:
-            raise FiringError(
-                f"transition {transition} not enabled: place {p} holds no token")
-    for p in pre:
-        if p not in post:
-            counts[p] = counts[p] - 1
-    for p in post:
-        if p not in pre:
-            counts[p] = counts.get(p, 0) + 1
-    return Marking.of(counts)
+    if not net.kernel.can_fire(counts, transition):
+        empty = next(p for p in net.preset(transition) if p not in counts)
+        raise FiringError(
+            f"transition {transition} not enabled: place {empty} holds no token")
+    return Marking.of(net.kernel.fire(counts, transition))
 
 
 def is_free_choice(net: PetriNet) -> bool:
@@ -192,46 +236,22 @@ def reachability_graph(net: PetriNet, state_cap: int = 1_000_000) -> Reachabilit
     """
     if state_cap < 1:
         raise ValueError("state_cap must be >= 1")
-    pre = {t: net.preset(t) for t in net.transitions}
-    pure_in = {t: tuple(p for p in pre[t] if p not in net.postset(t))
-               for t in net.transitions}
-    pure_out = {t: tuple(p for p in net.postset(t) if p not in pre[t])
-                for t in net.transitions}
-
-    initial = {p: n for p, n in net.initial_marking.items() if n > 0}
-    key0 = tuple(sorted(initial.items()))
-    index: dict[tuple, int] = {key0: 0}
-    states: list[Marking] = [Marking(key0)]
-    counts_of: list[dict[str, int]] = [initial]
+    kernel = net.kernel
+    states = [net.initial()]
+    index = {states[0].tokens: 0}
     edges: list[RgEdge] = []
-    queue: deque[int] = deque([0])
-    while queue:
-        i = queue.popleft()
-        counts = counts_of[i]
-        for t in net.transitions:
-            if any(counts.get(p, 0) < 1 for p in pre[t]):
-                continue
-            succ = dict(counts)
-            for p in pure_in[t]:
-                left = succ[p] - 1
-                if left:
-                    succ[p] = left
-                else:
-                    del succ[p]
-            for p in pure_out[t]:
-                succ[p] = succ.get(p, 0) + 1
-            key = tuple(sorted(succ.items()))
+    for i, state in enumerate(states):  # visits states appended below: BFS
+        counts = dict(state.tokens)
+        for t in kernel.enabled(counts):
+            key = tuple(sorted(kernel.fire(counts, t).items()))
             j = index.get(key)
             if j is None:
                 if len(states) >= state_cap:
                     raise StateCapError(
                         f"more than {state_cap} reachable markings; "
                         "the net may be unbounded")
-                j = len(states)
-                index[key] = j
+                j = index[key] = len(states)
                 states.append(Marking(key))
-                counts_of.append(succ)
-                queue.append(j)
             edges.append(RgEdge(i, t, net.label(t), j))
     has_out = {e.src for e in edges}
     ends = tuple(i for i in range(len(states)) if i not in has_out)

@@ -19,7 +19,8 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .eventlog import Event, EventLog, Trace
-from .petri import Marking, PetriNet, is_free_choice, net_from_json, net_to_json
+from .petri import (Kernel, PetriNet, add_tokens, is_free_choice, net_from_json,
+                    net_to_json, remove_tokens)
 
 PROBABILITY_TOLERANCE = 1e-9
 
@@ -83,8 +84,9 @@ class StochasticPetriNet:
     def __post_init__(self) -> None:
         if not is_free_choice(self.net):
             raise ValueError("underlying net must be free-choice")
+        arcs, transitions = set(self.net.arcs), set(self.net.transitions)
         for (p, t), prob in self.arc_probabilities.items():
-            if (p, t) not in set(self.net.arcs):
+            if (p, t) not in arcs:
                 raise ValueError(f"probability on missing arc ({p}, {t})")
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"probability {prob} outside [0, 1]")
@@ -96,77 +98,55 @@ class StochasticPetriNet:
             if abs(total - 1.0) > PROBABILITY_TOLERANCE:
                 raise ValueError(f"probabilities out of place {place} sum to {total}")
         for t in self.delay_distributions:
-            if t not in set(self.net.transitions):
+            if t not in transitions:
                 raise ValueError(f"delay for unknown transition {t}")
             if self.net.is_silent(t):
                 raise ValueError(f"silent transition {t} cannot carry delays")
 
 
-def _counts(tokens: dict[str, list[float]]) -> Marking:
-    return Marking.of({p: len(ts) for p, ts in tokens.items()})
+# A silent-path search result: (tau path, goal transition) for an event, the
+# tau path alone for completion, or None when no silent path exists.
+SilentPath = tuple[tuple[str, ...], str] | tuple[str, ...] | None
+Memo = dict[tuple[frozenset, str | None], SilentPath]
 
 
-def _enabled_in(net: PetriNet, counts: dict[str, int], t: str) -> bool:
-    return all(counts.get(p, 0) >= 1 for p in net.preset(t))
-
-
-def _fire_counts(net: PetriNet, counts: dict[str, int], t: str) -> dict[str, int]:
-    out = dict(counts)
-    pre, post = net.preset(t), net.postset(t)
-    for p in pre:
-        if p not in post:
-            out[p] -= 1
-            if out[p] == 0:
-                del out[p]
-    for p in post:
-        if p not in pre:
-            out[p] = out.get(p, 0) + 1
-    return out
-
-
-def _silent_path(net: PetriNet, counts: dict[str, int],
-                 goal_label: str | None) -> tuple[list[str], str] | list[str] | None:
+def _silent_path(kernel: Kernel, counts: dict[str, int],
+                 goal_label: str | None) -> SilentPath:
     """Shortest deterministic silent-firing path.
 
     With a ``goal_label``, returns ``(tau_path, transition)`` where the final
     transition carries that label and is enabled after the path.  With
     ``goal_label=None``, returns the path to the nearest dead marking (no
     transition enabled at all).  Search depth is bounded by the number of
-    silent transitions in the net; ties break on transition id order.
+    silent transitions in the net.  Ties break first on breadth-first order,
+    so the fewest silent firings win, then on net transition order: silent
+    successors are expanded, and goal transitions tried, in the order the net
+    lists them.  The result depends only on the net, the marking and the
+    goal, which is what lets replay memoize it.
     """
-    silents = [t for t in net.transitions if net.is_silent(t)]
-    max_depth = len(silents)
-
-    def key(c: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(c.items()))
-
-    start = dict(counts)
-    queue: deque[tuple[dict[str, int], list[str]]] = deque([(start, [])])
-    seen = {key(start)}
+    goals = None if goal_label is None else kernel.by_label.get(goal_label, ())
+    max_depth = len(kernel.silent)
+    queue: deque[tuple[dict[str, int], tuple[str, ...]]] = deque([(counts, ())])
+    seen = {frozenset(counts.items())}
     while queue:
         current, path = queue.popleft()
-        if goal_label is None:
-            if not any(_enabled_in(net, current, t) for t in net.transitions):
+        if goals is None:
+            if not kernel.enabled(current):
                 return path
-        else:
-            for t in net.transitions:
-                if net.label(t) == goal_label and _enabled_in(net, current, t):
-                    return path, t
+        elif hits := kernel.enabled(current, goals):
+            return path, hits[0]
         if len(path) >= max_depth:
             continue
-        for t in silents:
-            if not _enabled_in(net, current, t):
-                continue
-            succ = _fire_counts(net, current, t)
-            k = key(succ)
-            if k in seen:
-                continue
-            seen.add(k)
-            queue.append((succ, path + [t]))
+        for t in kernel.enabled(current, kernel.silent):
+            succ = kernel.fire(current, t)
+            k = frozenset(succ.items())
+            if k not in seen:
+                seen.add(k)
+                queue.append((succ, path + (t,)))
     return None
 
 
-def _fire_timed(net: PetriNet, tokens: dict[str, list[float]], t: str,
+def _fire_timed(kernel: Kernel, tokens: dict[str, list[float]], t: str,
                 fired_at: float | None = None) -> tuple[float, float]:
     """Consume the oldest token per input place; return (enabled_at, fired_at).
 
@@ -174,62 +154,72 @@ def _fire_timed(net: PetriNet, tokens: dict[str, list[float]], t: str,
     propagate the consumed arrival times; labeled transitions stamp their
     outputs with the observed firing time.
     """
-    pre, post = net.preset(t), net.postset(t)
-    enabled_at = 0.0
-    for p in pre:
-        enabled_at = max(enabled_at, tokens[p][0])
-    for p in pre:
-        if p not in post:
-            heapq.heappop(tokens[p])
+    enabled_at = max([0.0] + [tokens[p][0] for p in kernel.pre[t]])
+    for p in kernel.pure_in[t]:
+        heapq.heappop(tokens[p])
     out_time = enabled_at if fired_at is None else fired_at
-    for p in post:
-        if p not in pre:
-            heapq.heappush(tokens.setdefault(p, []), out_time)
+    for p in kernel.pure_out[t]:
+        heapq.heappush(tokens.setdefault(p, []), out_time)
     return enabled_at, out_time
 
 
-def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
+def replay_trace(net: PetriNet, trace: Trace, *,
+                 memo: Memo | None = None) -> ReplayResult:
     """Replay one trace, extracting enablement and firing times per event.
 
     For each observed event the shortest silent path that enables a matching
-    transition is fired first; initial tokens carry the trace's first
+    transition is fired first (fewest silent firings, then net transition
+    order; see ``_silent_path``); initial tokens carry the trace's first
     timestamp so the opening firing waits zero.  After the last event the
     replay silently completes to the nearest dead marking, which attributes
     skipped branches to their silent transitions.  If some event cannot be
     enabled the result is nonconforming at that index.
+
+    ``memo`` caches silent-path searches by (marking, account), with ``None``
+    for completion.  A search is a pure function of those and the net, so a
+    memo shared by calls on the same net changes no result; without one the
+    call starts cold.
     """
+    kernel = net.kernel
+    memo = {} if memo is None else memo
     start_time = float(trace.events[0].timestamp) if trace.events else 0.0
-    tokens: dict[str, list[float]] = {}
-    for place, n in net.initial_marking.items():
-        if n > 0:
-            tokens[place] = [start_time] * n
+    tokens = {p: [start_time] * n for p, n in net.initial_marking.items() if n > 0}
 
     firings: list[Firing] = []
 
+    def search(goal: str | None) -> SilentPath:
+        counts = {p: len(v) for p, v in tokens.items() if v}
+        key = (frozenset(counts.items()), goal)
+        if key not in memo:
+            memo[key] = _silent_path(kernel, counts, goal)
+        return memo[key]
+
     def fire_path(path: Iterable[str]) -> None:
         for silent in path:
-            en, fired = _fire_timed(net, tokens, silent)
+            en, fired = _fire_timed(kernel, tokens, silent)
             firings.append(Firing(silent, None, en, fired))
 
     for index, event in enumerate(trace.events):
-        found = _silent_path(net, {p: len(v) for p, v in tokens.items() if v},
-                             event.activity)
+        found = search(event.activity)
         if found is None:
             return ReplayResult(trace.trace_id, tuple(firings), False, index)
         path, target = found
         fire_path(path)
-        enabled_at, fired_at = _fire_timed(net, tokens, target,
+        enabled_at, fired_at = _fire_timed(kernel, tokens, target,
                                            float(event.timestamp))
         firings.append(Firing(target, event.activity, enabled_at, fired_at))
 
-    completion = _silent_path(net, {p: len(v) for p, v in tokens.items() if v}, None)
+    completion = search(None)
     if completion is not None:
         fire_path(completion)
     return ReplayResult(trace.trace_id, tuple(firings), True, None)
 
 
 def replay_log(net: PetriNet, log: EventLog) -> list[ReplayResult]:
-    return [replay_trace(net, trace) for trace in log.traces]
+    """Replay every trace, sharing one silent-path memo across the log; the
+    memo is dropped when the call returns."""
+    memo: Memo = {}
+    return [replay_trace(net, trace, memo=memo) for trace in log.traces]
 
 
 def enrich_from_replays(net: PetriNet,
@@ -343,7 +333,9 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
     if n_traces < 0:
         raise ValueError("n_traces must be nonnegative")
     net = fspn.net
+    kernel = net.kernel
     t_index = {t: i for i, t in enumerate(net.transitions)}
+    p_index = {p: i for i, p in enumerate(net.places)}
     delay_pool = {t: np.asarray(d.samples, dtype=float)
                   for t, d in fspn.delay_distributions.items()}
 
@@ -357,32 +349,27 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
         fired = 0
 
         def select_once() -> bool:
+            """Route one token from each marked place, in net place order."""
             nonlocal fired
             progressed = False
-            for place in net.places:
-                if counts.get(place, 0) < 1:
+            for place in sorted(counts, key=p_index.__getitem__):
+                if place not in counts:  # a join earlier in this pass took it
                     continue
                 outs = net.postset(place)
                 if not outs:
                     continue
-                if len(outs) == 1 and len(net.preset(outs[0])) > 1:
-                    join = outs[0]
-                    if not _enabled_in(net, counts, join):
+                if len(outs) == 1 and len(kernel.pre[outs[0]]) > 1:
+                    chosen = outs[0]  # a join, which waits for all its inputs
+                    if not kernel.can_fire(counts, chosen):
                         continue
-                    chosen = join
-                    for p in net.preset(join):
-                        counts[p] -= 1
-                        if counts[p] == 0:
-                            del counts[p]
                 else:
                     probs = [fspn.arc_probabilities.get((place, t), 0.0) for t in outs]
                     total = sum(probs)
                     if total <= 0:
                         continue
                     chosen = outs[rng.choice(len(outs), p=[x / total for x in probs])]
-                    counts[place] -= 1
-                    if counts[place] == 0:
-                        del counts[place]
+                # free choice: a transition other than a join has one input
+                remove_tokens(counts, kernel.pre[chosen])
                 delay = 0.0
                 if not net.is_silent(chosen):
                     pool = delay_pool.get(chosen)
@@ -399,8 +386,7 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
             clock = due
             while pending and pending[0][0] == due:
                 _, idx, transition = heapq.heappop(pending)
-                for place in net.postset(transition):
-                    counts[place] = counts.get(place, 0) + 1
+                add_tokens(counts, kernel.post[transition])
                 if not net.is_silent(transition):
                     emitted.append((due, idx, net.label(transition)))
 

@@ -1,4 +1,9 @@
+import functools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logutil import make_log
 from repostminer.discovery import discover_tree, tree_to_net
@@ -89,6 +94,57 @@ class TestReplay:
     def test_empty_trace_conforms_trivially(self):
         result = replay_trace(broadcast_net(), Trace("e", ()))
         assert result.conforming and not result.firings
+
+
+@functools.cache
+def replay_models():
+    """The threshold net and a discovered 8-account flower, each with the
+    stochastic net ``simulate`` draws logs from."""
+    rng = random.Random(1)
+    accounts = [f"u{i}" for i in range(8)]
+    log = make_log([rng.sample(accounts, 5) for _ in range(40)])
+    flower = tree_to_net(discover_tree(log, 0.2))
+    return {"threshold": threshold_fspn(), "flower": enrich(flower, log)}
+
+
+def inject(trace, edits):
+    """Apply (position, kind) edits: "unknown" inserts an account the net
+    does not know, "swap" exchanges two neighbouring accounts, keeping the
+    timestamps in place."""
+    events = list(trace.events)
+    for position, kind in edits:
+        if kind == "unknown":
+            i = position % (len(events) + 1)
+            ts = events[i - 1].timestamp if i else 0
+            events.insert(i, Event(trace.trace_id, "stranger", ts))
+        elif len(events) > 1:
+            i = position % (len(events) - 1)
+            a, b = events[i], events[i + 1]
+            events[i] = Event(a.trace_id, b.activity, a.timestamp)
+            events[i + 1] = Event(b.trace_id, a.activity, b.timestamp)
+    return Trace(trace.trace_id, tuple(events))
+
+
+class TestMemoizedReplay:
+    @given(st.sampled_from(["threshold", "flower"]), st.integers(0, 2**32 - 1),
+           st.integers(1, 25),
+           st.lists(st.tuples(st.integers(0, 24), st.integers(0, 20),
+                              st.sampled_from(["unknown", "swap"])), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_memoized_equals_cold(self, model, seed, n_traces, edits):
+        fspn = replay_models()[model]
+        log = simulate(fspn, n_traces, seed=seed)
+        traces = list(log.traces)
+        for index, position, kind in edits:
+            i = index % len(traces)
+            traces[i] = inject(traces[i], [(position, kind)])
+        log = EventLog(tuple(traces))
+        memoized = replay_log(fspn.net, log)
+        cold = [replay_trace(fspn.net, t) for t in log.traces]
+        assert memoized == cold
+        for trace, result in zip(log.traces, memoized):
+            if any(e.activity == "stranger" for e in trace.events):
+                assert not result.conforming
 
 
 class TestEnrich:
