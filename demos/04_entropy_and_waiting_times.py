@@ -12,12 +12,10 @@ populations are told apart by the Kolmogorov-Smirnov test.
 import random
 
 from repostminer import (
-    build_markov_chain,
     discover_tree,
     format_tree,
-    ks_entropy,
     ks_two_sample,
-    reachability_graph,
+    replay_entropy,
     replay_log,
     tree_to_net,
     waiting_time_stats,
@@ -47,12 +45,10 @@ def measure(name, log):
     net = tree_to_net(discover_tree(log, 0.2))
     replays = replay_log(net, log)
     stats = waiting_time_stats(replays)
-    chain = build_markov_chain(reachability_graph(net),
-                               [r for r in replays if r.conforming])
     print(f"{name}:")
     print(f"  tree: {format_tree(discover_tree(log, 0.2))[:70]}")
     print(f"  mean of per-account mean waits: {stats.mean_of_means:,.0f} s")
-    print(f"  Kolmogorov-Sinai entropy:       {ks_entropy(chain):.3f}")
+    print(f"  Kolmogorov-Sinai entropy:       {replay_entropy(net, replays):.3f}")
     return [s.mean for s in stats.per_activity.values()]
 
 

@@ -12,6 +12,7 @@ from .analysis import (
     diameter,
     ks_entropy,
     ks_two_sample,
+    replay_entropy,
     stationary_distribution,
 )
 from .discovery import (

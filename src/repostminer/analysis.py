@@ -1,10 +1,12 @@
 """Structural and behavioral measures of discovered nets.
 
 Density and diameter treat the net as a directed graph over places and
-transitions.  Behavior is summarized by a Markov chain estimated from replay
-traversals of the reachability graph, closed end-to-start so a stationary
-distribution exists, from which Kolmogorov-Sinai entropy follows.  A
-two-sample Kolmogorov-Smirnov test compares waiting-time samples between
+transitions.  Behavior is summarized by the Kolmogorov-Sinai entropy of a
+Markov chain over the markings replays visit, each replay closed end-to-start.
+The pipeline takes it from visit counts with :func:`replay_entropy`;
+:func:`build_markov_chain` builds the same chain as a matrix over the
+reachability graph for :func:`stationary_distribution` and :func:`ks_entropy`.
+A two-sample Kolmogorov-Smirnov test compares waiting-time samples between
 runs.
 """
 
@@ -17,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .discovery import strongly_connected
 from .petri import PetriNet, ReachabilityGraph
 from .stochastic import ReplayResult
 
@@ -88,8 +91,8 @@ def build_markov_chain(rg: ReachabilityGraph,
     """Estimate state-transition probabilities from replay traversals.
 
     Each conforming replay's firing sequence is mapped to a path through the
-    reachability graph starting at state 0.  Visited states with no outgoing
-    traversal are closed back to the initial state with probability one, so
+    reachability graph starting at state 0 and closed by one traversal from
+    its end state back to state 0, so every trace's termination counts and
     the chain always admits a stationary distribution; states never visited
     are dropped.
     """
@@ -99,7 +102,6 @@ def build_markov_chain(rg: ReachabilityGraph,
 
     step = {(e.src, e.transition): e.dst for e in rg.edges}
     traversals: Counter[tuple[int, int]] = Counter()
-    visited = {0}
     for result in conforming:
         state = 0
         for firing in result.firings:
@@ -110,9 +112,9 @@ def build_markov_chain(rg: ReachabilityGraph,
                     f"outside the reachability graph")
             traversals[(state, nxt)] += 1
             state = nxt
-            visited.add(state)
+        traversals[(state, 0)] += 1  # the trace ends: close back to the start
 
-    states = tuple(sorted(visited))
+    states = tuple(sorted({src for src, _ in traversals}))
     pos = {s: i for i, s in enumerate(states)}
     matrix = np.zeros((len(states), len(states)))
     out_totals: Counter[int] = Counter()
@@ -120,65 +122,65 @@ def build_markov_chain(rg: ReachabilityGraph,
         out_totals[src] += n
     for (src, dst), n in traversals.items():
         matrix[pos[src], pos[dst]] = n / out_totals[src]
-    for s in states:
-        if out_totals[s] == 0:  # observed end state: close back to the start
-            matrix[pos[s], pos[0]] = 1.0
     return MarkovChain(states, matrix)
+
+
+def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
+                   log_base: float | None = None) -> float:
+    """``ks_entropy`` of the :func:`build_markov_chain` chain in one pass.
+
+    Every replay starts at the initial marking and is closed back to it, so
+    the chain is regenerative and its stationary law is the normalised visit
+    count (Kemeny & Snell, *Finite Markov Chains*): the entropy is
+    ``sum n(s, s') * -log(n(s, s') / out(s)) / sum visits(s)`` over the moves
+    counted between markings.  No reachability graph or matrix is built.
+    """
+    conforming = [r for r in replays if r.conforming]
+    if not conforming:
+        raise ChainConstructionError("no conforming replays to estimate the entropy from")
+
+    kernel = net.kernel
+    markings: list[dict[str, int]] = [net.initial().as_dict()]
+    index = {net.initial().tokens: 0}
+    step: dict[tuple[int, str], int] = {}
+    moves: Counter[tuple[int, int]] = Counter()
+    for result in conforming:
+        state = 0
+        for firing in result.firings:
+            nxt = step.get((state, firing.transition))
+            if nxt is None:
+                if not kernel.can_fire(markings[state], firing.transition):
+                    raise ValueError(f"replay of {result.trace_id} fires "
+                                     f"{firing.transition} where it is not enabled")
+                after = kernel.fire(markings[state], firing.transition)
+                nxt = step[(state, firing.transition)] = index.setdefault(
+                    tuple(sorted(after.items())), len(markings))
+                if nxt == len(markings):
+                    markings.append(after)
+            moves[(state, nxt)] += 1
+            state = nxt
+        moves[(state, 0)] += 1  # the trace ends: close back to the start
+
+    out_totals: Counter[int] = Counter()
+    for (src, _), n in moves.items():
+        out_totals[src] += n
+    weighted = 0.0
+    for (src, _), n in moves.items():
+        weighted -= n * math.log(n / out_totals[src])
+    h = weighted / sum(out_totals.values())  # every visit departs once
+    if log_base is not None:
+        h /= math.log(log_base)
+    return h
 
 
 def _closed_classes(matrix: np.ndarray) -> list[list[int]]:
     """Strongly connected components with no outgoing probability mass."""
     n = matrix.shape[0]
-    succ = [list(np.nonzero(matrix[i] > 0)[0]) for i in range(n)]
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(comp))
+    succ = {i: np.nonzero(matrix[i] > 0)[0].tolist() for i in range(n)}
+    sccs = strongly_connected(range(n), succ)
     scc_of = {node: i for i, comp in enumerate(sccs) for node in comp}
-    closed = []
-    for i, comp in enumerate(sccs):
-        if all(scc_of[j] == i for node in comp for j in succ[node]):
-            closed.append(comp)
-    return closed
+    return [sorted(comp) for i, comp in enumerate(sccs)
+            if all(scc_of[j] == i for node in comp for j in succ[node])]
 
 
 def stationary_distribution(mc: MarkovChain, tol: float = 1e-10,

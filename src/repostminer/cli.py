@@ -42,7 +42,6 @@ class PipelineConfig:
     split_bot_scores: bool = False
     bot_high: float = 0.9
     bot_low: float = 0.1
-    state_cap: int = 1_000_000
     entropy_log_base: float | None = None
     seed: int = DEFAULT_SEED
 
@@ -76,8 +75,8 @@ class PipelineConfig:
         return cls(**raw)
 
 
-def _dump_json(doc: object, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json_text(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 SCHEMA_KEYS = ("trace_id", "activity", "timestamp", "bot_score", "format")
@@ -125,15 +124,49 @@ def export_dot(net: petri.PetriNet,
     return "\n".join(lines) + "\n"
 
 
+def measure(net: petri.PetriNet, replays: list[stochastic.ReplayResult],
+            entropy_log_base: float | None, provenance: dict[str, object],
+            ) -> tuple[analysis.MetricsReport, dict[str, float], petri.PetriNet]:
+    """The report and per-account mean waits of a replayed net, and the
+    reduced display net that its node count, density and diameter are from."""
+    display_net = discovery.reduce_net(net)
+    stats = stochastic.waiting_time_stats(replays)
+    report = analysis.MetricsReport(
+        node_count=display_net.node_count(),
+        density=analysis.density(display_net),
+        diameter=analysis.diameter(display_net),
+        mean_of_mean_wait_seconds=stats.mean_of_means,
+        ks_entropy=analysis.replay_entropy(net, replays, entropy_log_base),
+        provenance=provenance,
+    )
+    waits = {a: s.mean for a, s in stats.per_activity.items()}
+    return report, waits, display_net
+
+
+def measurement_files(report: analysis.MetricsReport, waits: dict[str, float],
+                      replays: list[stochastic.ReplayResult]) -> dict[str, str]:
+    """File name -> text of ``report.json``, ``report.csv`` and
+    ``conformance.json``."""
+    doc = report.as_dict()
+    doc["per_user_mean_waits"] = waits
+    failures = [{"trace_id": r.trace_id, "failed_index": r.failed_index}
+                for r in replays if not r.conforming]
+    return {
+        "report.json": _json_text(doc),
+        "report.csv": analysis.MetricsReport.CSV_HEADER + "\n" + report.csv_row() + "\n",
+        "conformance.json": _json_text({
+            "total": len(replays),
+            "conforming": len(replays) - len(failures),
+            "nonconforming": len(failures),
+            "failures": failures,
+        }),
+    }
+
+
 def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
                 out_dir: Path) -> analysis.MetricsReport:
     """Discover, enrich and measure one preprocessed log; write artifacts."""
     written: list[Path] = []
-
-    def emit(path: Path, text: str) -> None:
-        path.write_text(text)
-        written.append(path)
-
     try:
         stage = "discover"
         tree = discovery.discover_tree(log, config.noise_threshold)
@@ -142,57 +175,32 @@ def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
         stage = "enrich"
         replays = stochastic.replay_log(net, log)
         fspn = stochastic.enrich_from_replays(net, replays)
-        conforming = [r for r in replays if r.conforming]
 
         stage = "analyze"
-        display_net = discovery.reduce_net(net)
-        node_count = display_net.node_count()
-        dens = analysis.density(display_net)
-        diam = analysis.diameter(display_net)
-        stats = stochastic.waiting_time_stats(replays)
-        rg = petri.reachability_graph(net, config.state_cap)
-        chain = analysis.build_markov_chain(rg, conforming)
-        entropy = analysis.ks_entropy(chain, config.entropy_log_base)
-
-        report = analysis.MetricsReport(
-            node_count=node_count,
-            density=dens,
-            diameter=diam,
-            mean_of_mean_wait_seconds=stats.mean_of_means,
-            ks_entropy=entropy,
-            provenance={
-                "log": name,
-                "process_tree": discovery.format_tree(tree),
-                "max_events": config.max_events,
-                "max_traces": config.max_traces,
-                "noise_threshold": config.noise_threshold,
-                "state_cap": config.state_cap,
-                "entropy_log_base": config.entropy_log_base,
-                "seed": config.seed,
-                "traces": len(log),
-                "events": log.event_count(),
-            },
-        )
+        report, waits, display_net = measure(net, replays, config.entropy_log_base, {
+            "log": name,
+            "process_tree": discovery.format_tree(tree),
+            "max_events": config.max_events,
+            "max_traces": config.max_traces,
+            "noise_threshold": config.noise_threshold,
+            "entropy_log_base": config.entropy_log_base,
+            "seed": config.seed,
+            "traces": len(log),
+            "events": log.event_count(),
+        })
 
         stage = "write"
         out_dir.mkdir(parents=True, exist_ok=True)
-        emit(out_dir / "net.json", petri.net_to_json(net))
-        emit(out_dir / "fspn.json", stochastic.fspn_to_json(fspn))
-        emit(out_dir / "model.dot", export_dot(display_net))
-        doc = report.as_dict()
-        doc["per_user_mean_waits"] = {
-            a: s.mean for a, s in stats.per_activity.items()}
-        emit(out_dir / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        emit(out_dir / "report.csv",
-             analysis.MetricsReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
-        failures = [{"trace_id": r.trace_id, "failed_index": r.failed_index}
-                    for r in replays if not r.conforming]
-        emit(out_dir / "conformance.json", json.dumps({
-            "total": len(replays),
-            "conforming": len(conforming),
-            "nonconforming": len(failures),
-            "failures": failures,
-        }, indent=2, sort_keys=True) + "\n")
+        files = {
+            "net.json": petri.net_to_json(net),
+            "fspn.json": stochastic.fspn_to_json(fspn),
+            "model.dot": export_dot(display_net),
+            **measurement_files(report, waits, replays),
+        }
+        for file_name, text in files.items():
+            path = out_dir / file_name
+            path.write_text(text)
+            written.append(path)
         return report
     except PipelineError:
         raise
@@ -295,7 +303,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         "split_bot_scores": args.split_bot_scores or None,
         "bot_high": args.bot_high,
         "bot_low": args.bot_low,
-        "state_cap": args.state_cap,
         "entropy_log_base": args.entropy_log_base,
         "seed": args.seed,
     }
@@ -323,26 +330,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     log = eventlog.parse_log(Path(args.input), config.schema())
     log = eventlog.preprocess(log, args.max_events, args.max_traces)
     replays = stochastic.replay_log(net, log)
-    conforming = [r for r in replays if r.conforming]
-    stats = stochastic.waiting_time_stats(replays)
-    display_net = discovery.reduce_net(net)
-    rg = petri.reachability_graph(net, args.state_cap or 1_000_000)
-    chain = analysis.build_markov_chain(rg, conforming)
-    report = analysis.MetricsReport(
-        node_count=display_net.node_count(),
-        density=analysis.density(display_net),
-        diameter=analysis.diameter(display_net),
-        mean_of_mean_wait_seconds=stats.mean_of_means,
-        ks_entropy=analysis.ks_entropy(chain, args.entropy_log_base),
-        provenance={"log": Path(args.input).stem, "recomputed_from": args.net},
-    )
+    report, waits, _ = measure(net, replays, args.entropy_log_base, {
+        "log": Path(args.input).stem, "recomputed_from": args.net})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    doc = report.as_dict()
-    doc["per_user_mean_waits"] = {a: s.mean for a, s in stats.per_activity.items()}
-    _dump_json(doc, out / "report.json")
-    (out / "report.csv").write_text(
-        analysis.MetricsReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
+    for file_name, text in measurement_files(report, waits, replays).items():
+        (out / file_name).write_text(text)
     print(report.csv_row())
     return 0
 
@@ -352,7 +345,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     log = stochastic.simulate(fspn, args.n_traces, seed=args.seed,
                               max_firings=args.max_firings)
     schema = eventlog.LogSchema(timestamp_format="epoch")
-    eventlog.write_log(log, Path(args.out), schema)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    eventlog.write_log(log, out, schema)
     print(f"wrote {len(log)} traces ({log.event_count()} events) to {args.out}")
     return 0
 
@@ -362,7 +357,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report_b, waits_b = _load_report(Path(args.report_b))
     doc = compare(report_a, waits_a, report_b, waits_b)
     if args.out:
-        _dump_json(doc, Path(args.out))
+        Path(args.out).write_text(_json_text(doc))
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
@@ -405,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="route events with score > high (default 0.9)")
     disc.add_argument("--bot-low", type=float, default=None,
                       help="route events with score < low (default 0.1)")
-    disc.add_argument("--state-cap", type=int, default=None)
     disc.add_argument("--entropy-log-base", type=float, default=None)
     disc.add_argument("--seed", type=int, default=None)
     disc.set_defaults(func=_cmd_discover)
@@ -417,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_options(ana)
     ana.add_argument("--max-events", type=int, default=10)
     ana.add_argument("--max-traces", type=int, default=None)
-    ana.add_argument("--state-cap", type=int, default=None)
     ana.add_argument("--entropy-log-base", type=float, default=None)
     ana.set_defaults(func=_cmd_analyze)
 

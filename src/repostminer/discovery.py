@@ -10,11 +10,13 @@ the remaining activities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping, TypeVar
 
 from .eventlog import Dfg, EventLog, dfg_from_sequences
 from .petri import PetriNet
 
 Sequence = tuple[str, ...]
+Node = TypeVar("Node")
 
 ACTIVITY = "activity"
 TAU = "tau"
@@ -141,14 +143,15 @@ def _undirected_components(nodes: list[str],
     return sorted(components, key=min)
 
 
-def _strongly_connected(nodes: list[str],
-                        succ: dict[str, list[str]]) -> list[frozenset[str]]:
-    """Iterative Tarjan; components returned in deterministic order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
+def strongly_connected(nodes: Iterable[Node],
+                       succ: Mapping[Node, Iterable[Node]]) -> list[frozenset[Node]]:
+    """Iterative Tarjan; components returned ordered by their least member.
+    A node missing from ``succ`` has no successors."""
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    components: list[frozenset[Node]] = []
     counter = 0
 
     for root in nodes:
@@ -208,7 +211,7 @@ def _sequence_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
     for a, b in sorted(dfg.edge_counts):
         if a in alphabet and b in alphabet and a != b:
             succ[a].append(b)
-    sccs = _strongly_connected(sorted(alphabet), succ)
+    sccs = strongly_connected(sorted(alphabet), succ)
     if len(sccs) < 2:
         return None
 

@@ -232,7 +232,7 @@ def reachability_graph(net: PetriNet, state_cap: int = 1_000_000) -> Reachabilit
     States are numbered by discovery order (transitions tried in net order),
     so two runs over the same net produce identical graphs.  Exceeding
     ``state_cap`` distinct markings raises :class:`StateCapError` rather than
-    truncating, because downstream entropy needs the complete graph.
+    truncating, because a truncated graph would silently drop behavior.
     """
     if state_cap < 1:
         raise ValueError("state_cap must be >= 1")

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logutil import make_log
 from repostminer.analysis import (
@@ -17,11 +19,14 @@ from repostminer.analysis import (
     diameter,
     ks_entropy,
     ks_two_sample,
+    replay_entropy,
     stationary_distribution,
 )
+from repostminer.discovery import ProcessTree, activity, loop, par, seq, tau, tree_to_net, xor
+from repostminer.eventlog import EventLog, Trace
 from repostminer.petri import PetriNet, reachability_graph
-from repostminer.reference_nets import broadcast_net
-from repostminer.stochastic import replay_log
+from repostminer.reference_nets import broadcast_net, sequential_net
+from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet, replay_log, simulate
 
 
 def chain(matrix, states=None):
@@ -117,6 +122,17 @@ class TestMarkovChain:
         with pytest.raises(ChainConstructionError):
             build_markov_chain(rg, replay_log(net, make_log([("Z",)])))
 
+    def test_every_trace_closed(self):
+        # (A, B) ends where the (A, B, C) traces pass through: its
+        # termination must still count, splitting that state 3 : 2.
+        net = tree_to_net(seq(activity("A"), activity("B"), activity("C")))
+        replays = replay_log(net, make_log([("A", "B", "C")] * 3 + [("A", "B")] * 2))
+        mc = build_markov_chain(reachability_graph(net), replays)
+        expected = (-0.6 * math.log(0.6) - 0.4 * math.log(0.4)) * 5 / 18
+        assert expected == pytest.approx(0.186947685, abs=1e-9)
+        assert ks_entropy(mc) == pytest.approx(expected, abs=1e-9)
+        assert replay_entropy(net, replays) == pytest.approx(expected, abs=1e-12)
+
 
 class TestStationary:
     def test_swap_chain_is_uniform(self):
@@ -185,6 +201,63 @@ class TestEntropy:
         Q = P[np.ix_(perm, perm)]
         assert ks_entropy(chain(P)) == pytest.approx(ks_entropy(chain(Q)),
                                                      abs=1e-12)
+
+
+def process_trees(labels="abcd"):
+    """Small process trees over ``labels`` and silent leaves."""
+    leaves = st.sampled_from(list(labels)).map(activity) | st.just(tau())
+
+    def operators(children):
+        two_or_more = st.lists(children, min_size=2, max_size=3)
+        return (two_or_more.map(lambda c: seq(*c)) | two_or_more.map(lambda c: xor(*c))
+                | two_or_more.map(lambda c: par(*c))
+                | two_or_more.map(lambda c: loop(c[0], *c[1:])))
+
+    return operators(st.recursive(leaves, operators, max_leaves=3))
+
+
+def uniform_fspn(net):
+    """The net with every choice uniform and every labeled delay 1 s."""
+    probabilities = {}
+    for place in net.places:
+        outs = net.postset(place)
+        probabilities.update({(place, t): 1 / len(outs) for t in outs})
+    delays = {t: EmpiricalDelay((1.0,)) for t in net.transitions if not net.is_silent(t)}
+    return StochasticPetriNet(net, probabilities, delays)
+
+
+class TestReplayEntropy:
+    @given(process_trees(), st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 9)), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_chain_entropy(self, tree: ProcessTree, seed, n_traces, cuts):
+        net = tree_to_net(tree)
+        traces = list(simulate(uniform_fspn(net), n_traces, seed=seed,
+                               max_firings=60).traces)
+        for index, keep in cuts:  # some traces stop short, as truncated cascades do
+            t = traces[index % len(traces)]
+            traces[index % len(traces)] = Trace(t.trace_id, t.events[:keep])
+        replays = replay_log(net, EventLog(tuple(traces)))
+        assume(any(r.conforming for r in replays))
+        mc = build_markov_chain(reachability_graph(net), replays)
+        for base in (None, 2):
+            assert replay_entropy(net, replays, base) == pytest.approx(
+                ks_entropy(mc, base), abs=1e-9)
+
+    def test_nonconforming_replays_ignored(self):
+        net = broadcast_net()
+        replays = replay_log(net, make_log([("A", "B", "C"), ("B",)]))
+        assert replay_entropy(net, replays) == 0.0
+
+    def test_no_conforming_replays(self):
+        net = broadcast_net()
+        with pytest.raises(ChainConstructionError):
+            replay_entropy(net, replay_log(net, make_log([("B",)])))
+
+    def test_firing_outside_the_net_rejected(self):
+        replays = replay_log(broadcast_net(), make_log([("A", "C", "B")]))
+        with pytest.raises(ValueError, match="C where it is not enabled"):
+            replay_entropy(sequential_net(), replays)
 
 
 def ecdf_distance_oracle(a, b):

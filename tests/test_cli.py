@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,9 +14,10 @@ from repostminer.cli import (
     main,
     run_pipeline,
 )
-from repostminer.petri import PetriNet, net_from_json
+from repostminer.discovery import activity, par, seq, tau, tree_to_net, xor
+from repostminer.petri import PetriNet, net_from_json, net_to_json
 from repostminer.reference_nets import broadcast_net, threshold_fspn
-from repostminer.stochastic import fspn_from_json
+from repostminer.stochastic import fspn_from_json, fspn_to_json
 
 FIXTURE_CSV = """trace_id,activity,timestamp
 post1,A,2019-01-01T00:00:00Z
@@ -214,6 +217,46 @@ class TestCommands:
         assert code == 0
         assert ((redo / "report.csv").read_text()
                 == (out / "fixture" / "report.csv").read_text())
+
+    def test_analyze_writes_conformance(self, tmp_path, fixture_log):
+        out = tmp_path / "out"
+        main(["discover", "--input", str(fixture_log), "--out", str(out)])
+        redo = tmp_path / "redo"
+        main(["analyze", "--net", str(out / "fixture" / "net.json"),
+              "--input", str(fixture_log), "--out", str(redo)])
+        assert ((redo / "conformance.json").read_text()
+                == (out / "fixture" / "conformance.json").read_text())
+
+    def test_analyze_width_20_broadcast(self, tmp_path):
+        # Twenty optional bots in any order: the net has 2^20 + 3 reachable
+        # markings, which measuring the entropy must not enumerate.
+        bots = [f"b{i:02d}" for i in range(20)]
+        tree = seq(activity("lead"), par(*(xor(tau(), activity(b)) for b in bots)))
+        net_path = tmp_path / "net.json"
+        net_path.write_text(net_to_json(tree_to_net(tree)))
+        rng = random.Random(20)
+        rows = ["trace_id,activity,timestamp"]
+        for c in range(5):
+            who = ["lead"] + rng.sample(bots, 9)
+            rows += [f"c{c},{a},{1000 * c + i}" for i, a in enumerate(who)]
+        log_path = tmp_path / "wide.csv"
+        log_path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "wide"
+        started = time.perf_counter()
+        assert main(["analyze", "--net", str(net_path), "--input", str(log_path),
+                     "--out", str(out), "--schema", "format=epoch"]) == 0
+        assert time.perf_counter() - started < 30.0
+        conformance = json.loads((out / "conformance.json").read_text())
+        assert conformance["conforming"] == conformance["total"] == 5
+        assert json.loads((out / "report.json").read_text())["ks_entropy"] > 0.0
+
+    def test_simulate_creates_parent_directories(self, tmp_path):
+        fspn = tmp_path / "fspn.json"
+        fspn.write_text(fspn_to_json(threshold_fspn()))
+        sim = tmp_path / "new" / "dir" / "sim.csv"
+        assert main(["simulate", "--fspn", str(fspn), "--n-traces", "5",
+                     "--out", str(sim)]) == 0
+        assert sim.read_text().startswith("trace_id,activity,timestamp\n")
 
     def test_export_dot_command(self, tmp_path, fixture_log, capsys):
         out = tmp_path / "out"
