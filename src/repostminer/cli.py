@@ -4,7 +4,8 @@
 optional bot-score split, discovery, enrichment, metrics) and writes
 ``report.json``, ``report.csv``, ``net.json``, ``fspn.json``, ``model.dot``
 and ``conformance.json`` into one directory per run.  The other subcommands
-re-run individual stages from those artifacts.
+re-run individual stages from those artifacts.  Any failure in a stage ends
+the command with exit status 1 and ``<command>: error in stage <stage>: ...``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 from . import analysis, discovery, eventlog, petri, stochastic
 
@@ -24,6 +27,18 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Re-raise any failure in the block as a :class:`PipelineError` of stage
+    ``name``; a ``PipelineError`` from a nested stage passes through."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, f"{type(exc).__name__}: {exc}") from exc
 
 
 @dataclass
@@ -43,7 +58,6 @@ class PipelineConfig:
     bot_high: float = 0.9
     bot_low: float = 0.1
     entropy_log_base: float | None = None
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.noise_threshold <= 1.0:
@@ -126,9 +140,10 @@ def export_dot(net: petri.PetriNet,
 
 def measure(net: petri.PetriNet, replays: list[stochastic.ReplayResult],
             entropy_log_base: float | None, provenance: dict[str, object],
-            ) -> tuple[analysis.MetricsReport, dict[str, float], petri.PetriNet]:
-    """The report and per-account mean waits of a replayed net, and the
-    reduced display net that its node count, density and diameter are from."""
+            ) -> tuple[analysis.MetricsReport, dict[str, str], petri.PetriNet]:
+    """The report of a replayed net, file name -> text of ``report.json``,
+    ``report.csv`` and ``conformance.json``, and the reduced display net that
+    the report's node count, density and diameter are from."""
     display_net = discovery.reduce_net(net)
     stats = stochastic.waiting_time_stats(replays)
     report = analysis.MetricsReport(
@@ -139,19 +154,11 @@ def measure(net: petri.PetriNet, replays: list[stochastic.ReplayResult],
         ks_entropy=analysis.replay_entropy(net, replays, entropy_log_base),
         provenance=provenance,
     )
-    waits = {a: s.mean for a, s in stats.per_activity.items()}
-    return report, waits, display_net
-
-
-def measurement_files(report: analysis.MetricsReport, waits: dict[str, float],
-                      replays: list[stochastic.ReplayResult]) -> dict[str, str]:
-    """File name -> text of ``report.json``, ``report.csv`` and
-    ``conformance.json``."""
     doc = report.as_dict()
-    doc["per_user_mean_waits"] = waits
+    doc["per_user_mean_waits"] = {a: s.mean for a, s in stats.per_activity.items()}
     failures = [{"trace_id": r.trace_id, "failed_index": r.failed_index}
                 for r in replays if not r.conforming]
-    return {
+    files = {
         "report.json": _json_text(doc),
         "report.csv": analysis.MetricsReport.CSV_HEADER + "\n" + report.csv_row() + "\n",
         "conformance.json": _json_text({
@@ -161,84 +168,77 @@ def measurement_files(report: analysis.MetricsReport, waits: dict[str, float],
             "failures": failures,
         }),
     }
+    return report, files, display_net
+
+
+def _read_log(path: Path, config: PipelineConfig) -> eventlog.EventLog:
+    """Parse and preprocess one input log, as stages parse and preprocess."""
+    with _stage("parse"):
+        log = eventlog.parse_log(path, config.schema())
+    with _stage("preprocess"):
+        return eventlog.preprocess(log, config.max_events, config.max_traces)
+
+
+def _write_run(out_dir: Path, files: dict[str, str]) -> None:
+    """Write file name -> text into ``out_dir``; if any write fails, remove
+    every file of the run so that no partial run is left behind."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        for file_name, text in files.items():
+            path = out_dir / file_name
+            written.append(path)
+            path.write_text(text)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
                 out_dir: Path) -> analysis.MetricsReport:
     """Discover, enrich and measure one preprocessed log; write artifacts."""
-    written: list[Path] = []
-    try:
-        stage = "discover"
+    with _stage("discover"):
         tree = discovery.discover_tree(log, config.noise_threshold)
         net = discovery.tree_to_net(tree)
-
-        stage = "enrich"
+    with _stage("replay"):
         replays = stochastic.replay_log(net, log)
+    with _stage("enrich"):
         fspn = stochastic.enrich_from_replays(net, replays)
-
-        stage = "analyze"
-        report, waits, display_net = measure(net, replays, config.entropy_log_base, {
+    with _stage("analyze"):
+        report, files, display_net = measure(net, replays, config.entropy_log_base, {
             "log": name,
             "process_tree": discovery.format_tree(tree),
             "max_events": config.max_events,
             "max_traces": config.max_traces,
             "noise_threshold": config.noise_threshold,
             "entropy_log_base": config.entropy_log_base,
-            "seed": config.seed,
             "traces": len(log),
             "events": log.event_count(),
         })
-
-        stage = "write"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        files = {
+    with _stage("write"):
+        _write_run(out_dir, {
             "net.json": petri.net_to_json(net),
             "fspn.json": stochastic.fspn_to_json(fspn),
             "model.dot": export_dot(display_net),
-            **measurement_files(report, waits, replays),
-        }
-        for file_name, text in files.items():
-            path = out_dir / file_name
-            path.write_text(text)
-            written.append(path)
-        return report
-    except PipelineError:
-        raise
-    except Exception as exc:
-        for path in written:  # do not leave partial runs behind
-            path.unlink(missing_ok=True)
-        raise PipelineError(stage, str(exc)) from exc
+            **files,
+        })
+    return report
 
 
 def run_pipeline(config: PipelineConfig) -> list[analysis.MetricsReport]:
     """Run the full pipeline for every input log (and bot-score half)."""
     reports = []
     for path in config.inputs:
-        try:
-            stage = "parse"
-            if not path.exists():
-                raise FileNotFoundError(f"input file not found: {path}")
-            log = eventlog.parse_log(path, config.schema())
-            stage = "preprocess"
-            log = eventlog.preprocess(log, config.max_events, config.max_traces)
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(stage, str(exc)) from exc
-
+        runs = {path.stem: _read_log(path, config)}
         if config.split_bot_scores:
-            try:
+            with _stage("split"):
                 high, low = eventlog.split_by_bot_score(
-                    log, config.bot_high, config.bot_low)
-            except Exception as exc:
-                raise PipelineError("split", str(exc)) from exc
-            for suffix, part in (("bot_high", high), ("bot_low", low)):
-                run_name = f"{path.stem}-{suffix}"
-                reports.append(_run_single(
-                    run_name, part, config, config.out_dir / run_name))
-        else:
-            reports.append(_run_single(
-                path.stem, log, config, config.out_dir / path.stem))
+                    runs[path.stem], config.bot_high, config.bot_low)
+            runs = {f"{path.stem}-bot_high": high, f"{path.stem}-bot_low": low}
+        for run_name, log in runs.items():
+            reports.append(_run_single(run_name, log, config,
+                                       config.out_dir / run_name))
     return reports
 
 
@@ -304,7 +304,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         "bot_high": args.bot_high,
         "bot_low": args.bot_low,
         "entropy_log_base": args.entropy_log_base,
-        "seed": args.seed,
     }
     for key, value in overrides.items():
         if value is not None:  # flags win over the config file
@@ -316,65 +315,73 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    with _stage("config"):
+        config = _config_from_args(args)
     reports = run_pipeline(config)
-    for report in reports:
-        print(f"{report.provenance['log']}: {report.csv_row()}")
+    with _stage("write"):
+        for report in reports:
+            print(f"{report.provenance['log']}: {report.csv_row()}")
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    net = petri.net_from_json(Path(args.net).read_text())
-    config = PipelineConfig()
-    _apply_schema(config, args)
-    log = eventlog.parse_log(Path(args.input), config.schema())
-    log = eventlog.preprocess(log, args.max_events, args.max_traces)
-    replays = stochastic.replay_log(net, log)
-    report, waits, _ = measure(net, replays, args.entropy_log_base, {
-        "log": Path(args.input).stem, "recomputed_from": args.net})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for file_name, text in measurement_files(report, waits, replays).items():
-        (out / file_name).write_text(text)
-    print(report.csv_row())
+    with _stage("config"):
+        config = PipelineConfig(max_events=args.max_events, max_traces=args.max_traces)
+        _apply_schema(config, args)
+    with _stage("load"):
+        net = petri.net_from_json(Path(args.net).read_text())
+    log = _read_log(Path(args.input), config)
+    with _stage("replay"):
+        replays = stochastic.replay_log(net, log)
+    with _stage("analyze"):
+        report, files, _ = measure(net, replays, args.entropy_log_base, {
+            "log": Path(args.input).stem, "recomputed_from": args.net})
+    with _stage("write"):
+        _write_run(Path(args.out), files)
+        print(report.csv_row())
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    fspn = stochastic.fspn_from_json(Path(args.fspn).read_text())
-    log = stochastic.simulate(fspn, args.n_traces, seed=args.seed,
-                              max_firings=args.max_firings)
-    schema = eventlog.LogSchema(timestamp_format="epoch")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    eventlog.write_log(log, out, schema)
-    print(f"wrote {len(log)} traces ({log.event_count()} events) to {args.out}")
+    with _stage("load"):
+        fspn = stochastic.fspn_from_json(Path(args.fspn).read_text())
+    with _stage("simulate"):
+        log = stochastic.simulate(fspn, args.n_traces, seed=args.seed,
+                                  max_firings=args.max_firings)
+    with _stage("write"):
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        eventlog.write_log(log, out, eventlog.LogSchema(timestamp_format="epoch"))
+        print(f"wrote {len(log)} traces ({log.event_count()} events) to {args.out}")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    report_a, waits_a = _load_report(Path(args.report_a))
-    report_b, waits_b = _load_report(Path(args.report_b))
-    doc = compare(report_a, waits_a, report_b, waits_b)
-    if args.out:
-        Path(args.out).write_text(_json_text(doc))
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    with _stage("load"):
+        report_a, waits_a = _load_report(Path(args.report_a))
+        report_b, waits_b = _load_report(Path(args.report_b))
+    with _stage("compare"):
+        doc = compare(report_a, waits_a, report_b, waits_b)
+    with _stage("write"):
+        if args.out:
+            Path(args.out).write_text(_json_text(doc))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    if args.fspn:
-        fspn = stochastic.fspn_from_json(Path(args.fspn).read_text())
-        text = export_dot(fspn.net, dict(fspn.arc_probabilities))
-    else:
-        net = petri.net_from_json(Path(args.net).read_text())
-        if args.reduce:
-            net = discovery.reduce_net(net)
-        text = export_dot(net)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
+    with _stage("load"):
+        if args.fspn:
+            fspn = stochastic.fspn_from_json(Path(args.fspn).read_text())
+            text = export_dot(fspn.net, dict(fspn.arc_probabilities))
+        else:
+            net = petri.net_from_json(Path(args.net).read_text())
+            text = export_dot(discovery.reduce_net(net) if args.reduce else net)
+    with _stage("write"):
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            print(text, end="")
     return 0
 
 
@@ -401,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--bot-low", type=float, default=None,
                       help="route events with score < low (default 0.1)")
     disc.add_argument("--entropy-log-base", type=float, default=None)
-    disc.add_argument("--seed", type=int, default=None)
     disc.set_defaults(func=_cmd_discover)
 
     ana = subs.add_parser("analyze", help="recompute the report from artifacts")
@@ -445,9 +451,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except PipelineError as exc:
         print(f"{args.command}: error in stage {exc.stage}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1
 
 

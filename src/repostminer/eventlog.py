@@ -118,13 +118,6 @@ class Dfg:
     start_counts: dict[str, int]
     end_counts: dict[str, int]
 
-    def activities(self) -> set[str]:
-        acts = set(self.start_counts) | set(self.end_counts)
-        for a, b in self.edge_counts:
-            acts.add(a)
-            acts.add(b)
-        return acts
-
 
 def _parse_timestamp(text: str, fmt: str) -> int:
     if fmt == "epoch":
@@ -263,14 +256,15 @@ def preprocess(log: EventLog, max_events: int = 10,
     if max_traces is not None and max_traces < 1:
         raise ValueError("max_traces must be >= 1")
 
-    truncated = [replace(t, events=t.events[:max_events]) for t in log.traces]
-    if max_traces is None or len(truncated) <= max_traces:
-        return EventLog(tuple(truncated))
-
-    order = sorted(range(len(truncated)),
-                   key=lambda i: (truncated[i].start if truncated[i].events else 0, i))
-    keep = set(order[:max_traces])
-    return EventLog(tuple(t for i, t in enumerate(truncated) if i in keep))
+    kept = log.traces
+    if max_traces is not None and len(kept) > max_traces:
+        # Truncation keeps each trace's first event, so selecting first
+        # keys on the same start times and rebuilds only the kept traces.
+        order = sorted(range(len(kept)),
+                       key=lambda i: (kept[i].start if kept[i].events else 0, i))
+        keep = set(order[:max_traces])
+        kept = tuple(t for i, t in enumerate(kept) if i in keep)
+    return EventLog(tuple(replace(t, events=t.events[:max_events]) for t in kept))
 
 
 def split_by_bot_score(log: EventLog, high: float = 0.9,

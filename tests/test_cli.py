@@ -1,8 +1,10 @@
 import json
+import math
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +275,85 @@ class TestCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "fixture" in proc.stdout
+
+
+def organic_log(path, cascades=30, accounts=20, seed=3):
+    """Cascades of 8 distinct accounts drawn uniformly; no cut explains
+    them, so discovery falls through to a flower."""
+    rng = random.Random(seed)
+    rows = ["trace_id,activity,timestamp"]
+    for c in range(cascades):
+        who = rng.sample([f"u{i:02d}" for i in range(accounts)], 8)
+        rows += [f"c{c},{a},{1000 * c + 7 * i}" for i, a in enumerate(who)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture(params=["broadcast", "organic"])
+def any_log(request, tmp_path, fixture_log):
+    """The A-then-(B || C) fixture, or an organic log, with its schema flags."""
+    if request.param == "broadcast":
+        return fixture_log, []
+    return organic_log(tmp_path / "organic.csv"), ["--schema", "format=epoch"]
+
+
+class TestFailures:
+    @pytest.mark.parametrize("command", ["analyze", "export-dot", "simulate", "compare"])
+    def test_malformed_artifact_is_one_error_line(self, tmp_path, fixture_log,
+                                                  capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"places": []}))  # no transitions, no density
+        argv = {
+            "analyze": ["analyze", "--net", str(bad), "--input", str(fixture_log),
+                        "--out", str(tmp_path / "redo")],
+            "export-dot": ["export-dot", "--net", str(bad)],
+            "simulate": ["simulate", "--fspn", str(bad), "--n-traces", "3",
+                         "--out", str(tmp_path / "sim.csv")],
+            "compare": ["compare", "--report-a", str(bad), "--report-b", str(bad)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{command}: error in stage load: ")
+
+    def test_analyze_failed_write_leaves_no_files(self, tmp_path, fixture_log,
+                                                  capsys, monkeypatch):
+        out = tmp_path / "out"
+        main(["discover", "--input", str(fixture_log), "--out", str(out)])
+        write_text = Path.write_text
+
+        def failing_last_write(self, *args, **kwargs):
+            if self.name == "conformance.json":
+                raise OSError("disk full")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_last_write)
+        redo = tmp_path / "redo"
+        assert main(["analyze", "--net", str(out / "fixture" / "net.json"),
+                     "--input", str(fixture_log), "--out", str(redo)]) == 1
+        assert capsys.readouterr().err.startswith("analyze: error in stage write: ")
+        assert list(redo.iterdir()) == []
+
+
+class TestOptions:
+    def test_entropy_log_base(self, tmp_path, any_log):
+        log, flags = any_log
+        entropy = {}
+        for base in (None, 2):
+            out = tmp_path / f"base-{base}"
+            extra = [] if base is None else ["--entropy-log-base", str(base)]
+            assert main(["discover", "--input", str(log), "--out", str(out),
+                         *flags, *extra]) == 0
+            doc = json.loads((out / log.stem / "report.json").read_text())
+            entropy[base] = doc["ks_entropy"]
+        assert entropy[None] > 0.0
+        assert entropy[2] == pytest.approx(entropy[None] / math.log(2), rel=1e-12)
+
+    def test_export_dot_reduce_prints_model_dot(self, tmp_path, any_log, capsys):
+        log, flags = any_log
+        out = tmp_path / "out"
+        assert main(["discover", "--input", str(log), "--out", str(out), *flags]) == 0
+        capsys.readouterr()
+        run = out / log.stem
+        assert main(["export-dot", "--net", str(run / "net.json"), "--reduce"]) == 0
+        assert capsys.readouterr().out == (run / "model.dot").read_text()
