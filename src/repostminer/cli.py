@@ -181,7 +181,9 @@ def _read_log(path: Path, config: PipelineConfig) -> eventlog.EventLog:
 
 def _write_run(out_dir: Path, files: dict[str, str]) -> None:
     """Write file name -> text into ``out_dir``; if any write fails, remove
-    every file of the run so that no partial run is left behind."""
+    every file of the run, and ``out_dir`` if this call created it, so that
+    no partial run is left behind."""
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -192,6 +194,8 @@ def _write_run(out_dir: Path, files: dict[str, str]) -> None:
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        if created:
+            out_dir.rmdir()
         raise
 
 

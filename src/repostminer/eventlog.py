@@ -11,9 +11,9 @@ bot-score splits) and derives directly-follows statistics for discovery.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -131,77 +131,67 @@ def _parse_timestamp(text: str, fmt: str) -> int:
     return int(dt.timestamp())
 
 
-def _open_text(source: IO[bytes] | IO[str] | str | Path) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline="")
-        return source  # type: ignore[return-value]
-    raise TypeError(f"cannot read log from {type(source).__name__}")
-
-
-def parse_log(source: IO[bytes] | IO[str] | str | Path,
+def parse_log(source: IO[str] | str | Path,
               schema: LogSchema = LogSchema()) -> EventLog:
     """Parse a delimiter-separated repost dump into a canonical event log.
 
-    Rows are grouped by trace id and sorted by timestamp within each trace
-    (stable, so simultaneous reposts keep file order).  Malformed rows are
-    rejected and logged with their line number; a missing mandatory column
-    raises :class:`SchemaError`.
+    ``source`` is a path, opened as UTF-8 and closed on return, or a text
+    stream, read as given and left open.  Rows are grouped by trace id and
+    sorted by timestamp within each trace (stable, so simultaneous reposts
+    keep file order).  Malformed rows are rejected and logged with their
+    line number; a missing mandatory column raises :class:`SchemaError`.
     """
-    stream = _open_text(source)
-    reader = csv.reader(stream, delimiter=schema.delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty input: header row required") from None
-
-    positions = {name.strip(): i for i, name in enumerate(header)}
-    needed = [schema.trace_id, schema.activity, schema.timestamp]
-    missing = [c for c in needed if c not in positions]
-    if missing:
-        raise SchemaError(f"missing mandatory column(s): {', '.join(missing)}")
-    if schema.bot_score is not None and schema.bot_score not in positions:
-        raise SchemaError(f"missing bot-score column: {schema.bot_score}")
-
-    i_trace = positions[schema.trace_id]
-    i_act = positions[schema.activity]
-    i_ts = positions[schema.timestamp]
-    i_bot = positions[schema.bot_score] if schema.bot_score is not None else None
-
-    by_trace: dict[str, list[Event]] = {}
-    total = 0
-    rejected = 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        total += 1
+    opened = (open(source, encoding="utf-8", newline="")
+              if isinstance(source, (str, Path)) else nullcontext(source))
+    with opened as stream:
+        reader = csv.reader(stream, delimiter=schema.delimiter)
         try:
-            width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
-            if len(row) <= width:
-                raise ValueError(f"expected at least {width + 1} fields, got {len(row)}")
-            trace_id = row[i_trace].strip()
-            activity = row[i_act].strip()
-            if not trace_id:
-                raise ValueError("empty trace id")
-            if not activity:
-                raise ValueError("empty activity")
-            timestamp = _parse_timestamp(row[i_ts], schema.timestamp_format)
-            bot_score: float | None = None
-            if i_bot is not None and row[i_bot].strip():
-                bot_score = float(row[i_bot])
-                if not 0.0 <= bot_score <= 1.0:
-                    raise ValueError(f"bot score {bot_score} outside [0, 1]")
-        except (ValueError, OverflowError) as exc:
-            rejected += 1
-            logger.warning("line %d: rejected row (%s)", lineno, exc)
-            continue
-        by_trace.setdefault(trace_id, []).append(
-            Event(trace_id, activity, timestamp, bot_score))
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("empty input: header row required") from None
+
+        positions = {name.strip(): i for i, name in enumerate(header)}
+        needed = [schema.trace_id, schema.activity, schema.timestamp]
+        missing = [c for c in needed if c not in positions]
+        if missing:
+            raise SchemaError(f"missing mandatory column(s): {', '.join(missing)}")
+        if schema.bot_score is not None and schema.bot_score not in positions:
+            raise SchemaError(f"missing bot-score column: {schema.bot_score}")
+
+        i_trace = positions[schema.trace_id]
+        i_act = positions[schema.activity]
+        i_ts = positions[schema.timestamp]
+        i_bot = positions[schema.bot_score] if schema.bot_score is not None else None
+
+        by_trace: dict[str, list[Event]] = {}
+        total = 0
+        rejected = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            total += 1
+            try:
+                width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
+                if len(row) <= width:
+                    raise ValueError(f"expected at least {width + 1} fields, got {len(row)}")
+                trace_id = row[i_trace].strip()
+                activity = row[i_act].strip()
+                if not trace_id:
+                    raise ValueError("empty trace id")
+                if not activity:
+                    raise ValueError("empty activity")
+                timestamp = _parse_timestamp(row[i_ts], schema.timestamp_format)
+                bot_score: float | None = None
+                if i_bot is not None and row[i_bot].strip():
+                    bot_score = float(row[i_bot])
+                    if not 0.0 <= bot_score <= 1.0:
+                        raise ValueError(f"bot score {bot_score} outside [0, 1]")
+            except (ValueError, OverflowError) as exc:
+                rejected += 1
+                logger.warning("line %d: rejected row (%s)", lineno, exc)
+                continue
+            by_trace.setdefault(trace_id, []).append(
+                Event(trace_id, activity, timestamp, bot_score))
 
     if rejected:
         logger.warning("rejected %d of %d rows", rejected, total)

@@ -104,9 +104,9 @@ class StochasticPetriNet:
                 raise ValueError(f"silent transition {t} cannot carry delays")
 
 
-# A silent-path search result: (tau path, goal transition) for an event, the
-# tau path alone for completion, or None when no silent path exists.
-SilentPath = tuple[tuple[str, ...], str] | tuple[str, ...] | None
+# A silent-path search result: (tau path, goal transition) for an event,
+# (tau path, None) for completion, or None when no silent path exists.
+SilentPath = tuple[tuple[str, ...], str | None] | None
 Memo = dict[tuple[frozenset, str | None], SilentPath]
 
 
@@ -116,10 +116,11 @@ def _silent_path(kernel: Kernel, counts: dict[str, int],
 
     With a ``goal_label``, returns ``(tau_path, transition)`` where the final
     transition carries that label and is enabled after the path.  With
-    ``goal_label=None``, returns the path to the nearest dead marking (no
-    transition enabled at all).  Search depth is bounded by the number of
-    silent transitions in the net.  Ties break first on breadth-first order,
-    so the fewest silent firings win, then on net transition order: silent
+    ``goal_label=None``, returns ``(tau_path, None)`` where the path reaches
+    the nearest dead marking (no transition enabled at all); ``None`` when no
+    such path exists.  Search depth is bounded by the number of silent
+    transitions in the net.  Ties break first on breadth-first order, so the
+    fewest silent firings win, then on net transition order: silent
     successors are expanded, and goal transitions tried, in the order the net
     lists them.  The result depends only on the net, the marking and the
     goal, which is what lets replay memoize it.
@@ -132,7 +133,7 @@ def _silent_path(kernel: Kernel, counts: dict[str, int],
         current, path = queue.popleft()
         if goals is None:
             if not kernel.enabled(current):
-                return path
+                return path, None
         elif hits := kernel.enabled(current, goals):
             return path, hits[0]
         if len(path) >= max_depth:
@@ -211,7 +212,7 @@ def replay_trace(net: PetriNet, trace: Trace, *,
 
     completion = search(None)
     if completion is not None:
-        fire_path(completion)
+        fire_path(completion[0])
     return ReplayResult(trace.trace_id, tuple(firings), True, None)
 
 
@@ -326,9 +327,10 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
     output transition drawn from the arc probabilities; labeled transitions
     fire after a delay resampled from their empirical distribution, silent
     ones immediately.  Firings due at the same instant execute in transition
-    id order.  Each trace uses its own random stream derived from
-    ``(seed, trace index)``, so generation is reproducible and traces are
-    independent.
+    id order.  Once ``max_firings`` transitions have been drawn no more are,
+    and the trace ends when those drawn have fired.  Each trace uses its own
+    random stream derived from ``(seed, trace index)``, so generation is
+    reproducible and traces are independent.
     """
     if n_traces < 0:
         raise ValueError("n_traces must be nonnegative")
@@ -336,8 +338,19 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
     kernel = net.kernel
     t_index = {t: i for i, t in enumerate(net.transitions)}
     p_index = {p: i for i, p in enumerate(net.places)}
-    delay_pool = {t: np.asarray(d.samples, dtype=float)
-                  for t, d in fspn.delay_distributions.items()}
+    delay_pool = {t: d.samples for t, d in fspn.delay_distributions.items()}
+    # place -> its join, or its outputs and their normalised probabilities;
+    # a place with no outputs or no probability mass routes nothing
+    routes: dict[str, str | tuple[tuple[str, ...], list[float]]] = {}
+    for place in net.places:
+        outs = kernel.post[place]
+        if len(outs) == 1 and len(kernel.pre[outs[0]]) > 1:
+            routes[place] = outs[0]  # a join, which waits for all its inputs
+            continue
+        probs = [fspn.arc_probabilities.get((place, t), 0.0) for t in outs]
+        total = sum(probs)
+        if total > 0:
+            routes[place] = (outs, [x / total for x in probs])
 
     traces: list[Trace] = []
     for trace_no in range(n_traces):
@@ -347,60 +360,37 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
         emitted: list[tuple[float, int, str]] = []
         clock = 0.0
         fired = 0
-
-        def select_once() -> bool:
-            """Route one token from each marked place, in net place order."""
-            nonlocal fired
-            progressed = False
-            for place in sorted(counts, key=p_index.__getitem__):
-                if place not in counts:  # a join earlier in this pass took it
-                    continue
-                outs = net.postset(place)
-                if not outs:
-                    continue
-                if len(outs) == 1 and len(kernel.pre[outs[0]]) > 1:
-                    chosen = outs[0]  # a join, which waits for all its inputs
-                    if not kernel.can_fire(counts, chosen):
+        while True:
+            if fired < max_firings:
+                # route one token from each marked place, in net place order
+                routed_from = fired
+                for place in sorted(counts, key=p_index.__getitem__):
+                    # a join earlier in this pass may have taken the token
+                    if place not in counts or (route := routes.get(place)) is None:
                         continue
-                else:
-                    probs = [fspn.arc_probabilities.get((place, t), 0.0) for t in outs]
-                    total = sum(probs)
-                    if total <= 0:
-                        continue
-                    chosen = outs[rng.choice(len(outs), p=[x / total for x in probs])]
-                # free choice: a transition other than a join has one input
-                remove_tokens(counts, kernel.pre[chosen])
-                delay = 0.0
-                if not net.is_silent(chosen):
+                    if isinstance(route, str):
+                        chosen = route
+                        if not kernel.can_fire(counts, chosen):
+                            continue
+                    else:
+                        outs, probs = route
+                        chosen = outs[rng.choice(len(outs), p=probs)]
+                    # free choice: a transition other than a join has one input
+                    remove_tokens(counts, kernel.pre[chosen])
                     pool = delay_pool.get(chosen)
-                    if pool is not None and len(pool):
-                        delay = float(pool[rng.integers(len(pool))])
-                heapq.heappush(pending, (clock + delay, t_index[chosen], chosen))
-                fired += 1
-                progressed = True
-            return progressed
-
-        def pop_due_batch() -> None:
-            nonlocal clock
-            due = pending[0][0]
-            clock = due
-            while pending and pending[0][0] == due:
+                    delay = 0.0 if pool is None else float(pool[rng.integers(len(pool))])
+                    heapq.heappush(pending, (clock + delay, t_index[chosen], chosen))
+                    fired += 1
+                if fired > routed_from and pending[0][0] > clock:
+                    continue
+            if not pending:
+                break
+            clock = pending[0][0]
+            while pending and pending[0][0] == clock:
                 _, idx, transition = heapq.heappop(pending)
                 add_tokens(counts, kernel.post[transition])
                 if not net.is_silent(transition):
-                    emitted.append((due, idx, net.label(transition)))
-
-        while fired < max_firings:
-            progressed = select_once()
-            if not pending:
-                if not progressed:
-                    break
-                continue
-            if progressed and pending[0][0] > clock:
-                continue
-            pop_due_batch()
-        while pending:  # firings selected before the cap still complete
-            pop_due_batch()
+                    emitted.append((clock, idx, net.label(transition)))
 
         trace_id = f"t{trace_no}"
         events = tuple(Event(trace_id, label, int(round(when)))

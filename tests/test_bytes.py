@@ -1,11 +1,12 @@
 """Byte regression of the pipeline's replay, enrichment and simulation.
 
 Two small seeded logs go through ``repostminer discover``, and the threshold
-model and the discovered broadcast model go through ``repostminer
-simulate``; the sha256 of each output file
+model, the discovered broadcast model and a multi-token loop model go
+through ``repostminer simulate``; the sha256 of each output file
 must match the digest pinned below.  The digests were recorded before
 firing was compiled into ``PetriNet.kernel`` and replay memoized its
-silent-path searches, so any drift in replay order, tie-breaks, waits, arc
+silent-path searches, the loop model's before ``simulate`` became one
+flat event loop, so any drift in replay order, tie-breaks, waits, arc
 probabilities or the simulator's random draws fails here.  ``report.json``
 is left out on purpose: its entropy and provenance may change by design.
 
@@ -18,8 +19,9 @@ import sys
 from pathlib import Path
 
 from repostminer.cli import main
+from repostminer.petri import PetriNet
 from repostminer.reference_nets import threshold_fspn
-from repostminer.stochastic import fspn_to_json
+from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet, fspn_to_json
 
 PINNED = {
     "flower/net.json": "57b8687c8cc428ad9842cc519373c7a342b036b50c3ddbe71b7316d42ae2a300",
@@ -30,6 +32,7 @@ PINNED = {
     "broadcast/conformance.json": "79ada63e93c8ba4cecd4dcff513bbe2b80925e61ef2078936dbc395ab12376bb",
     "simulated.csv": "7ae93544c6db1f5c28906cdcbb8114a256c76960949341dfa4edf61a10592386",
     "broadcast-simulated.csv": "06cbb029b873b02aec1ab429a4d16e5101d1c125812e10ca358f120adca7e08c",
+    "loop-simulated.csv": "3e60c86e84339c0ccabebe2503d7663e4022036087eda015677a0f93a9bd40da",
 }
 
 
@@ -70,6 +73,34 @@ def broadcast_log(path, cascades=30, bots=6, seed=6):
     _write_csv(path, rows)
 
 
+def loop_fspn():
+    """A choice place starting with 3 tokens feeds A or B; a silent join
+    waits for one of each, then C ends the round or a silent loop puts two
+    tokens back (one through D).  Routing takes several passes per instant,
+    an unmatched token leaves the join waiting for good, and long runs hit
+    the firing cap."""
+    net = PetriNet(
+        places=("p0", "p1", "p2", "p3", "p4"),
+        transitions=("A", "B", "join", "C", "loop", "D"),
+        arcs=(("p0", "A"), ("p0", "B"), ("A", "p1"), ("B", "p2"),
+              ("p1", "join"), ("p2", "join"), ("join", "p3"),
+              ("p3", "C"), ("p3", "loop"), ("loop", "p0"), ("loop", "p4"),
+              ("p4", "D"), ("D", "p0")),
+        labels={"A": "A", "B": "B", "join": None, "C": "C", "loop": None, "D": "D"},
+        initial_marking={"p0": 3},
+    )
+    return StochasticPetriNet(
+        net,
+        arc_probabilities={("p0", "A"): 0.5, ("p0", "B"): 0.5,
+                           ("p1", "join"): 1.0, ("p2", "join"): 1.0,
+                           ("p3", "C"): 0.1, ("p3", "loop"): 0.9, ("p4", "D"): 1.0},
+        delay_distributions={"A": EmpiricalDelay((1.0, 5.0, 9.0)),
+                             "B": EmpiricalDelay((2.0, 4.0)),
+                             "C": EmpiricalDelay((3.0, 30.0)),
+                             "D": EmpiricalDelay((0.0, 6.0))},
+    )
+
+
 def produce(work):
     """Run the CLI on the fixtures and return {relative path: sha256}."""
     work = Path(work)
@@ -89,6 +120,11 @@ def produce(work):
     code = main(["simulate", "--fspn", str(work / "out/broadcast/fspn.json"),
                  "--n-traces", "100", "--seed", "17",
                  "--out", str(work / "out" / "broadcast-simulated.csv")])
+    assert code == 0
+    (work / "loop.json").write_text(fspn_to_json(loop_fspn()))
+    code = main(["simulate", "--fspn", str(work / "loop.json"),
+                 "--n-traces", "100", "--seed", "17", "--max-firings", "40",
+                 "--out", str(work / "out" / "loop-simulated.csv")])
     assert code == 0
     return {rel: hashlib.sha256((work / "out" / rel).read_bytes()).hexdigest()
             for rel in PINNED}

@@ -332,7 +332,25 @@ class TestFailures:
         assert main(["analyze", "--net", str(out / "fixture" / "net.json"),
                      "--input", str(fixture_log), "--out", str(redo)]) == 1
         assert capsys.readouterr().err.startswith("analyze: error in stage write: ")
-        assert list(redo.iterdir()) == []
+        assert not redo.exists()
+
+    def test_failed_write_removes_only_the_directory_it_created(
+            self, tmp_path, fixture_log, monkeypatch):
+        out = tmp_path / "out"
+        main(["discover", "--input", str(fixture_log), "--out", str(out)])
+
+        def failing_write(self, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", failing_write)
+        redo = tmp_path / "runs" / "redo"
+        argv = ["analyze", "--net", str(out / "fixture" / "net.json"),
+                "--input", str(fixture_log), "--out", str(redo)]
+        assert main(argv) == 1
+        assert list((tmp_path / "runs").iterdir()) == []  # the parent stays
+        redo.mkdir()
+        assert main(argv) == 1
+        assert list(redo.iterdir()) == []  # found, so kept
 
 
 class TestOptions:
