@@ -1,7 +1,8 @@
 """Batch command line: discover, analyze, simulate, compare, export-dot.
 
-``discover`` runs the whole pipeline per input log (parse, preprocess,
-optional bot-score split, discovery, enrichment, metrics) and writes
+``discover`` runs the whole pipeline per input log (parse, which applies
+the event and trace caps as it reads, optional bot-score split, discovery,
+enrichment, metrics) and writes
 ``report.json``, ``report.csv``, ``net.json``, ``fspn.json``, ``model.dot``
 and ``conformance.json`` into one directory per run.  The other subcommands
 re-run individual stages from those artifacts.  Any failure in a stage ends
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -64,6 +65,8 @@ class PipelineConfig:
             raise ValueError("noise threshold must lie in [0, 1]")
         if self.max_events < 1:
             raise ValueError("max_events must be >= 1")
+        if self.max_traces is not None and self.max_traces < 1:
+            raise ValueError("max_traces must be >= 1")
 
     def schema(self) -> eventlog.LogSchema:
         return eventlog.LogSchema(
@@ -172,11 +175,10 @@ def measure(net: petri.PetriNet, replays: list[stochastic.ReplayResult],
 
 
 def _read_log(path: Path, config: PipelineConfig) -> eventlog.EventLog:
-    """Parse and preprocess one input log, as stages parse and preprocess."""
+    """Parse one input log and apply its caps, as stage parse."""
     with _stage("parse"):
-        log = eventlog.parse_log(path, config.schema())
-    with _stage("preprocess"):
-        return eventlog.preprocess(log, config.max_events, config.max_traces)
+        return eventlog.parse_log(path, config.schema(),
+                                  config.max_events, config.max_traces)
 
 
 def _write_run(out_dir: Path, files: dict[str, str]) -> None:
@@ -309,9 +311,8 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         "bot_low": args.bot_low,
         "entropy_log_base": args.entropy_log_base,
     }
-    for key, value in overrides.items():
-        if value is not None:  # flags win over the config file
-            setattr(config, key, value)
+    # flags win over the config file; replace() runs its checks again
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     _apply_schema(config, args)
     if not config.inputs:
         raise ValueError("at least one --input is required")

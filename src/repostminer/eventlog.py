@@ -6,6 +6,9 @@ event names the post being shared (trace id), the account that shared it
 delimiter-separated dumps into canonical logs, applies the standard
 preprocessing steps (per-trace truncation, earliest-N trace selection,
 bot-score splits) and derives directly-follows statistics for discovery.
+
+``parse_log`` applies truncation and selection as it reads, building events
+only for the traces kept; ``preprocess`` applies them to a log in memory.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -119,11 +123,9 @@ class Dfg:
     end_counts: dict[str, int]
 
 
-def _parse_timestamp(text: str, fmt: str) -> int:
-    if fmt == "epoch":
-        return int(float(text))
+def _parse_iso8601(text: str) -> int:
     raw = text.strip()
-    if raw.endswith(("Z", "z")):
+    if raw.endswith(("Z", "z")):  # Python 3.10's fromisoformat rejects "Z"
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)
     if dt.tzinfo is None:
@@ -131,8 +133,28 @@ def _parse_timestamp(text: str, fmt: str) -> int:
     return int(dt.timestamp())
 
 
+def _check_caps(max_events: int | None, max_traces: int | None) -> None:
+    if max_events is not None and max_events < 1:
+        raise ValueError("max_events must be >= 1")
+    if max_traces is not None and max_traces < 1:
+        raise ValueError("max_traces must be >= 1")
+
+
+def _earliest(items: Sequence, start: Callable[..., int],
+              max_traces: int | None) -> Sequence:
+    """The ``max_traces`` items with the earliest ``start``, in appearance
+    order; ties break by appearance and ``None`` keeps every item."""
+    if max_traces is None or len(items) <= max_traces:
+        return items
+    # sorted is stable, so equal starts keep appearance order
+    order = sorted(range(len(items)), key=lambda i: start(items[i]))
+    return [items[i] for i in sorted(order[:max_traces])]
+
+
 def parse_log(source: IO[str] | str | Path,
-              schema: LogSchema = LogSchema()) -> EventLog:
+              schema: LogSchema = LogSchema(),
+              max_events: int | None = None,
+              max_traces: int | None = None) -> EventLog:
     """Parse a delimiter-separated repost dump into a canonical event log.
 
     ``source`` is a path, opened as UTF-8 and closed on return, or a text
@@ -140,7 +162,13 @@ def parse_log(source: IO[str] | str | Path,
     sorted by timestamp within each trace (stable, so simultaneous reposts
     keep file order).  Malformed rows are rejected and logged with their
     line number; a missing mandatory column raises :class:`SchemaError`.
+
+    The caps give exactly ``preprocess(parse_log(source, schema), max_events,
+    max_traces)``, but only the traces kept are ever built as events.
     """
+    _check_caps(max_events, max_traces)
+    parse_timestamp = (_parse_iso8601 if schema.timestamp_format == "iso8601"
+                       else lambda text: int(float(text)))
     opened = (open(source, encoding="utf-8", newline="")
               if isinstance(source, (str, Path)) else nullcontext(source))
     with opened as stream:
@@ -162,8 +190,9 @@ def parse_log(source: IO[str] | str | Path,
         i_act = positions[schema.activity]
         i_ts = positions[schema.timestamp]
         i_bot = positions[schema.bot_score] if schema.bot_score is not None else None
+        width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
 
-        by_trace: dict[str, list[Event]] = {}
+        by_trace: dict[str, list[tuple[int, str, float | None]]] = {}
         total = 0
         rejected = 0
         for lineno, row in enumerate(reader, start=2):
@@ -171,7 +200,6 @@ def parse_log(source: IO[str] | str | Path,
                 continue
             total += 1
             try:
-                width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
                 if len(row) <= width:
                     raise ValueError(f"expected at least {width + 1} fields, got {len(row)}")
                 trace_id = row[i_trace].strip()
@@ -180,7 +208,7 @@ def parse_log(source: IO[str] | str | Path,
                     raise ValueError("empty trace id")
                 if not activity:
                     raise ValueError("empty activity")
-                timestamp = _parse_timestamp(row[i_ts], schema.timestamp_format)
+                timestamp = parse_timestamp(row[i_ts])
                 bot_score: float | None = None
                 if i_bot is not None and row[i_bot].strip():
                     bot_score = float(row[i_bot])
@@ -190,16 +218,19 @@ def parse_log(source: IO[str] | str | Path,
                 rejected += 1
                 logger.warning("line %d: rejected row (%s)", lineno, exc)
                 continue
-            by_trace.setdefault(trace_id, []).append(
-                Event(trace_id, activity, timestamp, bot_score))
+            by_trace.setdefault(trace_id, []).append((timestamp, activity, bot_score))
 
     if rejected:
         logger.warning("rejected %d of %d rows", rejected, total)
 
     traces = []
-    for trace_id, events in by_trace.items():
-        events.sort(key=lambda e: e.timestamp)  # stable: ties keep file order
-        traces.append(Trace(trace_id, tuple(events)))
+    for trace_id, rows in _earliest(list(by_trace.items()),
+                                    lambda group: min(group[1], key=itemgetter(0))[0],
+                                    max_traces):
+        rows.sort(key=itemgetter(0))  # stable: ties keep file order
+        traces.append(Trace(trace_id, tuple(
+            Event(trace_id, activity, timestamp, bot_score)
+            for timestamp, activity, bot_score in rows[:max_events])))
     return EventLog(tuple(traces))
 
 
@@ -233,27 +264,18 @@ def write_log(log: EventLog, dest: IO[str] | str | Path,
             stream.close()
 
 
-def preprocess(log: EventLog, max_events: int = 10,
+def preprocess(log: EventLog, max_events: int | None = 10,
                max_traces: int | None = None) -> EventLog:
     """Truncate traces to their earliest ``max_events`` events and keep only
     the ``max_traces`` traces with the earliest first event.
 
-    Trace selection ties break by order of appearance.  ``max_traces=None``
-    keeps every trace.  An empty log passes through unchanged.
+    Trace selection ties break by order of appearance.  ``None`` lifts
+    either cap.  An empty log passes through unchanged.
     """
-    if max_events < 1:
-        raise ValueError("max_events must be >= 1")
-    if max_traces is not None and max_traces < 1:
-        raise ValueError("max_traces must be >= 1")
-
-    kept = log.traces
-    if max_traces is not None and len(kept) > max_traces:
-        # Truncation keeps each trace's first event, so selecting first
-        # keys on the same start times and rebuilds only the kept traces.
-        order = sorted(range(len(kept)),
-                       key=lambda i: (kept[i].start if kept[i].events else 0, i))
-        keep = set(order[:max_traces])
-        kept = tuple(t for i, t in enumerate(kept) if i in keep)
+    _check_caps(max_events, max_traces)
+    # Truncation keeps each trace's first event, so selecting first keys on
+    # the same start times and rebuilds only the kept traces.
+    kept = _earliest(log.traces, lambda t: t.start if t.events else 0, max_traces)
     return EventLog(tuple(replace(t, events=t.events[:max_events]) for t in kept))
 
 

@@ -365,10 +365,9 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
                 # route one token from each marked place, in net place order
                 routed_from = fired
                 for place in sorted(counts, key=p_index.__getitem__):
-                    # a join earlier in this pass may have taken the token
-                    if place not in counts or (route := routes.get(place)) is None:
+                    if (route := routes.get(place)) is None:
                         continue
-                    if isinstance(route, str):
+                    if isinstance(route, str):  # a place a join emptied routes to it
                         chosen = route
                         if not kernel.can_fire(counts, chosen):
                             continue

@@ -316,6 +316,19 @@ class TestFailures:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{command}: error in stage load: ")
 
+    @pytest.mark.parametrize("command", ["discover", "analyze"])
+    def test_max_traces_zero_fails_before_reading(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing")  # never opened
+        argv = {
+            "discover": ["discover", "--input", missing, "--out", missing],
+            "analyze": ["analyze", "--net", missing, "--input", missing,
+                        "--out", missing],
+        }[command] + ["--max-traces", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{command}: error in stage config: ")
+
     def test_analyze_failed_write_leaves_no_files(self, tmp_path, fixture_log,
                                                   capsys, monkeypatch):
         out = tmp_path / "out"

@@ -3,7 +3,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logutil import make_log
@@ -102,6 +102,93 @@ class TestParse:
         path = tmp_path / "out.csv"
         write_log(log, path, LogSchema())
         assert parse_log(path, LogSchema()) == log
+
+
+def logs(bot):
+    """Strategy: logs of 1-4 nonempty traces with unique ids, timestamps in
+    whole seconds from 1970 to 2100, and bot scores when ``bot``."""
+    name = st.text(alphabet="ab,\"x\u00e9 ", min_size=1, max_size=4).map(
+        str.strip).filter(bool)
+    score = st.one_of(st.none(), st.floats(0, 1)) if bot else st.none()
+    event = st.tuples(name, st.integers(0, 4_102_444_800), score)
+    trace = st.tuples(name, st.lists(event, min_size=1, max_size=5))
+
+    def build(raw):
+        return EventLog(tuple(
+            Trace(trace_id, tuple(Event(trace_id, a, ts, s) for a, ts, s in
+                                  sorted(events, key=lambda e: e[1])))
+            for trace_id, events in raw))
+    return st.lists(trace, min_size=1, max_size=4,
+                    unique_by=lambda t: t[0]).map(build)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("fmt", ["epoch", "iso8601"])
+    @pytest.mark.parametrize("bot", [None, "bot_score"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parse_of_write_is_identity(self, fmt, bot, data):
+        log = data.draw(logs(bot))
+        schema = LogSchema(bot_score=bot, timestamp_format=fmt)
+        buffer = io.StringIO()
+        write_log(log, buffer, schema)
+        assert parse_log(io.StringIO(buffer.getvalue()), schema) == log
+
+
+CAP_TRACES = ("p0", "p1", "p2", "p3", "p4", "p5")
+CAP_SCHEMA = LogSchema(bot_score="bot", timestamp_format="epoch")
+_good_row = st.builds("{},{},{},{}".format, st.sampled_from(CAP_TRACES),
+                      st.sampled_from("abc"), st.integers(0, 9),
+                      st.sampled_from(["", "0", "0.5", "1"]))
+_bad_row = st.one_of(
+    st.sampled_from(CAP_TRACES).map("{},a,not-a-time,0.5".format),
+    st.sampled_from(CAP_TRACES).map("{},a,3,1.5".format),
+    st.sampled_from(CAP_TRACES).map("{},a".format),
+    st.just(",a,3,0.5"),
+    st.sampled_from(CAP_TRACES).map("{},,3,0.5".format),
+    st.just(""),  # a blank line
+)
+_cap = st.one_of(st.none(), st.integers(1, 4))
+
+
+def parse_capturing(text, *caps):
+    """(log, warnings logged) of ``parse_log`` on ``text`` with ``caps``."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("repostminer.eventlog")
+    logger.addHandler(handler)
+    try:
+        log = parse_log(io.StringIO(text), CAP_SCHEMA, *caps)
+    finally:
+        logger.removeHandler(handler)
+    return log, [(r.levelno, r.getMessage()) for r in records]
+
+
+class TestCappedParse:
+    @given(st.tuples(st.lists(_good_row, max_size=30),
+                     st.lists(_bad_row, max_size=6)).flatmap(
+               lambda rows: st.permutations(rows[0] + rows[1])),
+           _cap, _cap)
+    # p0's rejected first row does not make it appear before p1; both start at 1
+    @example(["p0,a,oops,0.5", "p1,a,5,0.5", "p0,b,2,", "p1,b,1,", "p0,c,1,1"], 2, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_preprocess_of_full_parse(self, rows, max_events, max_traces):
+        text = "trace_id,activity,timestamp,bot\n" + "\n".join(rows) + "\n"
+        capped, capped_warnings = parse_capturing(text, max_events, max_traces)
+        full, full_warnings = parse_capturing(text)
+        assert capped == preprocess(full, max_events, max_traces)
+        assert capped_warnings == full_warnings
+        # independent of preprocess: earliest first timestamp, then appearance
+        ranked = sorted(range(len(full)),
+                        key=lambda i: (full.traces[i].start, i))[:max_traces]
+        assert [t.trace_id for t in capped] == [
+            full.traces[i].trace_id for i in sorted(ranked)]
+
+    @pytest.mark.parametrize("caps", [(0, None), (None, 0), (-1, 3)])
+    def test_cap_below_one_rejected(self, caps):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            parse_log(io.StringIO("trace_id,activity,timestamp\n"), EPOCH_SCHEMA, *caps)
 
 
 class TestPreprocess:
