@@ -7,21 +7,24 @@ The pipeline takes it from visit counts with :func:`replay_entropy`;
 :func:`build_markov_chain` builds the same chain as a matrix over the
 reachability graph for :func:`stationary_distribution` and :func:`ks_entropy`.
 A two-sample Kolmogorov-Smirnov test compares waiting-time samples between
-runs.
+runs.  The pipeline's measures are plain Python; numpy is imported only by
+the matrix-chain functions, which the library and the tests use.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .discovery import strongly_connected
 from .petri import PetriNet, ReachabilityGraph
 from .stochastic import ReplayResult
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -96,6 +99,8 @@ def build_markov_chain(rg: ReachabilityGraph,
     the chain always admits a stationary distribution; states never visited
     are dropped.
     """
+    import numpy as np
+
     conforming = [r for r in replays if r.conforming]
     if not conforming:
         raise ChainConstructionError("no conforming replays to build the chain from")
@@ -175,6 +180,8 @@ def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
 
 def _closed_classes(matrix: np.ndarray) -> list[list[int]]:
     """Strongly connected components with no outgoing probability mass."""
+    import numpy as np
+
     n = matrix.shape[0]
     succ = {i: np.nonzero(matrix[i] > 0)[0].tolist() for i in range(n)}
     sccs = strongly_connected(range(n), succ)
@@ -193,6 +200,8 @@ def stationary_distribution(mc: MarkovChain, tol: float = 1e-10,
     :class:`ConvergenceError` when several closed communicating classes make
     the distribution ambiguous or the iteration cap is hit.
     """
+    import numpy as np
+
     P = np.asarray(mc.matrix, dtype=float)
     n = P.shape[0]
     if n == 0:
@@ -226,6 +235,8 @@ def ks_entropy(mc: MarkovChain, log_base: float | None = None) -> float:
     Natural logarithm by default; pass ``log_base`` to rescale.  Zero
     probabilities contribute nothing (0 log 0 = 0).
     """
+    import numpy as np
+
     mu = mc.stationary if mc.stationary is not None else stationary_distribution(mc)
     P = mc.matrix
     mask = P > 0
@@ -245,15 +256,12 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     ``lambda = (sqrt(n_e) + 0.12 + 0.11 / sqrt(n_e)) * D`` and effective size
     ``n_e = n m / (n + m)``, clamped to [0, 1].
     """
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
+    xa, xb = sorted(map(float, a)), sorted(map(float, b))
     n, m = len(xa), len(xb)
     if n == 0 or m == 0:
         raise ValueError("both samples must be nonempty")
-    grid = np.concatenate([xa, xb])
-    fa = np.searchsorted(xa, grid, side="right") / n
-    fb = np.searchsorted(xb, grid, side="right") / m
-    d = float(np.max(np.abs(fa - fb)))
+    d = max(abs(bisect_right(xa, x) / n - bisect_right(xb, x) / m)
+            for x in xa + xb)
     ne = n * m / (n + m)
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
     return d, _kolmogorov_pvalue(lam)

@@ -77,19 +77,22 @@ def test_criterion_1_concurrency_fixture():
 
 
 class MatrixOracle:
-    """Marking-equation semantics: enabling and firing via incidence vectors."""
+    """Marking-equation semantics: enabling and firing via incidence vectors,
+    one int tuple per transition built from the arcs alone."""
 
     def __init__(self, net: PetriNet):
         self.net = net
         self.place_index = {p: i for i, p in enumerate(net.places)}
-        n_p, n_t = len(net.places), len(net.transitions)
-        self.pre = np.zeros((n_p, n_t), dtype=int)
-        self.post = np.zeros((n_p, n_t), dtype=int)
-        for j, t in enumerate(net.transitions):
-            for p in net.preset(t):
-                self.pre[self.place_index[p], j] = 1
-            for p in net.postset(t):
-                self.post[self.place_index[p], j] = 1
+        t_index = {t: j for j, t in enumerate(net.transitions)}
+        pre = [[0] * len(net.places) for _ in net.transitions]
+        post = [[0] * len(net.places) for _ in net.transitions]
+        for src, dst in net.arcs:
+            if src in self.place_index:
+                pre[t_index[dst]][self.place_index[src]] = 1
+            else:
+                post[t_index[src]][self.place_index[dst]] = 1
+        self.pre = [tuple(col) for col in pre]
+        self.post = [tuple(col) for col in post]
 
     def vector(self, marking: Marking) -> tuple[int, ...]:
         vec = [0] * len(self.net.places)
@@ -98,10 +101,10 @@ class MatrixOracle:
         return tuple(vec)
 
     def enabled(self, vec, j) -> bool:
-        return bool(np.all(np.asarray(vec) >= self.pre[:, j]))
+        return all(m >= w for m, w in zip(vec, self.pre[j]))
 
     def fire(self, vec, j) -> tuple[int, ...]:
-        return tuple(np.asarray(vec) - self.pre[:, j] + self.post[:, j])
+        return tuple(m - w + v for m, w, v in zip(vec, self.pre[j], self.post[j]))
 
     def explore(self, cap):
         """DFS enumeration of (states, edges); None when the cap is exceeded."""

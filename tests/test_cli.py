@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -275,6 +276,33 @@ class TestCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "fixture" in proc.stdout
+
+    def test_every_command_runs_without_numpy(self, tmp_path, fixture_log):
+        # numpy is a dependency of the library's matrix chain only: with it
+        # blocked, importing the CLI and running each subcommand must work.
+        script = textwrap.dedent("""\
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now fails
+        from repostminer.cli import main
+        log, work = sys.argv[1:]
+        run = f"{work}/out/fixture"
+        for argv in (
+            ["discover", "--input", log, "--out", f"{work}/out"],
+            ["analyze", "--net", f"{run}/net.json", "--input", log,
+             "--out", f"{work}/redo"],
+            ["simulate", "--fspn", f"{run}/fspn.json", "--n-traces", "20",
+             "--out", f"{work}/sim.csv"],
+            ["compare", "--report-a", f"{run}/report.json",
+             "--report-b", f"{work}/redo/report.json", "--out", f"{work}/cmp.json"],
+            ["export-dot", "--fspn", f"{run}/fspn.json"],
+        ):
+            if main(argv) != 0:
+                sys.exit(f"{argv[0]} failed")
+        """)
+        proc = subprocess.run([sys.executable, "-c", script, str(fixture_log),
+                               str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sim.csv").exists() and (tmp_path / "cmp.json").exists()
 
 
 def organic_log(path, cascades=30, accounts=20, seed=3):

@@ -1,6 +1,7 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from repostminer.stochastic import (
     ReplayResult,
     StatsError,
     StochasticPetriNet,
+    _Stream,
     enrich,
     enrich_from_replays,
     fspn_from_json,
@@ -322,6 +324,52 @@ class TestSimulate:
                                   {"t": EmpiricalDelay((1.0,))})
         log = simulate(fspn, 1, seed=0, max_firings=25)
         assert len(log.traces[0]) == 25
+
+
+def probabilities(weights):
+    """Weights normalised as ``simulate`` normalises a place's arcs."""
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+DRAWS = st.lists(st.one_of(
+    st.tuples(st.just("choice"),
+              st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 3.0]),
+                       min_size=1, max_size=6).filter(any).map(probabilities)),
+    st.tuples(st.just("integers"),
+              st.one_of(st.sampled_from([1, 2, 12345, 2**31 + 11]),
+                        st.integers(1, 2**32)))),
+    max_size=40)
+
+
+class TestStream:
+    """The pure-Python stream ``simulate`` draws from against numpy's
+    ``default_rng``: seeds of one, two and more than four uint32 words,
+    probabilities with zeros and of length 1, and bounds of 1 (no draw),
+    2**31 + 11 (rejection half the time) and up to 2**32."""
+
+    @given(st.one_of(st.just(0), st.integers(2**32, 2**64 - 1),
+                     st.integers(2**64, 2**200), st.integers(0, 2**32 - 1)),
+           st.integers(0, 10**6), DRAWS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_default_rng(self, seed, trace_no, draws):
+        rng, stream = np.random.default_rng((seed, trace_no)), _Stream((seed, trace_no))
+        for kind, arg in draws:
+            if kind == "choice":
+                assert stream.choice(arg) == rng.choice(len(arg), p=arg)
+            else:
+                assert stream.integers(arg) == rng.integers(arg)
+
+    @pytest.mark.parametrize("entropy", [(-1, 0), (5, -1), (-(2**70), 3)])
+    def test_negative_entropy_rejected(self, entropy):
+        with pytest.raises(ValueError):
+            np.random.default_rng(entropy)
+        with pytest.raises(ValueError):
+            _Stream(entropy)
+
+    def test_simulate_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            simulate(threshold_fspn(), 1, seed=-1)
 
 
 class TestFspnJson:
