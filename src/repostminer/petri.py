@@ -152,6 +152,20 @@ def add_tokens(counts: dict[str, int], places: Iterable[str]) -> None:
         counts[p] = counts.get(p, 0) + 1
 
 
+class Completion(NamedTuple):
+    """A net's completion distance, in units of ``1/scale`` silent firings.
+
+    ``cost`` maps every place to what one token there costs to complete
+    (``None``: no silent path empties the place); ``steps`` are the silent
+    transitions whose firing lowers the distance by exactly one firing
+    (``drop == scale``), in net order.
+    """
+
+    scale: int
+    cost: dict[str, int | None]
+    steps: tuple[str, ...]
+
+
 class Kernel:
     """A net compiled for firing: the one implementation of its semantics.
 
@@ -160,9 +174,16 @@ class Kernel:
     from each pure input place and puts one on each pure output place, so a
     self-loop place keeps its token.  ``silent`` and the tuples of
     ``by_label`` keep net order, the tie-break order of every search.
+
+    Two things replay's silent-path searches use are built on first use and
+    kept here, so every caller of the net shares them: ``relevant(label)``,
+    the silent transitions that can feed a transition with that label, and
+    ``completion()``, the exact completion distance of a block-structured
+    net (see :meth:`completion`).
     """
 
-    __slots__ = ("pre", "post", "pure_in", "pure_out", "needs", "silent", "by_label")
+    __slots__ = ("pre", "post", "pure_in", "pure_out", "needs", "silent", "by_label",
+                 "feeders", "places", "marked", "_relevant", "_completion")
 
     def __init__(self, net: PetriNet) -> None:
         nodes, ts = net.places + net.transitions, net.transitions
@@ -181,6 +202,11 @@ class Kernel:
         for t in ts:
             if (label := net.labels[t]) is not None:
                 self.by_label[label] = self.by_label.get(label, ()) + (t,)
+        self.feeders = {p: tuple(t for t in pre[p] if net.labels[t] is None)
+                        for p in net.places}  # the silent producers of each place
+        self.places = net.places
+        self.marked = {p: n for p, n in net.initial_marking.items() if n > 0}
+        self._relevant: dict[str, tuple[str, ...]] = {}
 
     def can_fire(self, counts: Mapping[str, int], t: str) -> bool:
         return counts.keys() >= self.needs[t]
@@ -197,6 +223,198 @@ class Kernel:
         remove_tokens(succ, self.pure_in[t])
         add_tokens(succ, self.pure_out[t])
         return succ
+
+    def relevant(self, label: str) -> tuple[str, ...]:
+        """The silent transitions backward-reachable, through silent
+        transitions, from the input places of the transitions labeled
+        ``label``, in net order.
+
+        A silent firing outside this set puts no token where a transition
+        of the set or the goal needs one, so dropping it from a path never
+        disables a later firing: every shortest silent path to the goal
+        uses these transitions only.
+        """
+        found = self._relevant.get(label)
+        if found is None:
+            places = {p for g in self.by_label.get(label, ()) for p in self.pre[g]}
+            stack, feeding = list(places), set()
+            while stack:
+                for t in self.feeders[stack.pop()]:
+                    if t not in feeding:
+                        feeding.add(t)
+                        fresh = [q for q in self.pre[t] if q not in places]
+                        places.update(fresh)
+                        stack += fresh
+            found = self._relevant[label] = tuple(t for t in self.silent if t in feeding)
+        return found
+
+    def completion(self) -> Completion | None:
+        """The net's exact completion distance, or ``None`` without a
+        certificate that it is exact.
+
+        A place with no output arcs costs 0; any other place costs the
+        minimum, over its silent output transitions t, of ``(1 + the costs
+        of t's output places) / |pre(t)|``, which shares a join's firing
+        among its inputs (labeled outputs do not count; loops are resolved
+        by iterating to a fixed point).  A marking's distance is the sum of
+        its tokens' costs, and firing a silent t lowers it by ``drop(t) =
+        cost(pre(t)) - cost(post(t))``.  Costs are integers in units of
+        ``1/scale`` firings, ``scale`` being the product of the silent
+        transitions' input counts, so comparisons are exact.
+
+        The certificate is :func:`is_block_structured`: such a net is the
+        net of a process tree, sound and safe, and from each of its
+        reachable markings the distance is the fewest silent firings to a
+        dead marking.  On any other net, or where a cost would not divide
+        evenly, this returns ``None``.
+        """
+        try:
+            return self._completion
+        except AttributeError:  # first use
+            self._completion = (_completion_distance(self)
+                                if is_block_structured(self) else None)
+            return self._completion
+
+
+def _completion_distance(kernel: Kernel) -> Completion | None:
+    pre, post, silent = kernel.pre, kernel.post, kernel.silent
+    is_silent = set(silent)
+    scale = 1
+    for t in silent:
+        scale *= len(pre[t])
+    cost: dict[str, int | None] = {p: None if post[p] else 0 for p in kernel.places}
+    changed = True
+    while changed:  # costs only fall, in steps of at least 1/scale
+        changed = False
+        for p in reversed(kernel.places):
+            for t in post[p]:
+                if t not in is_silent:
+                    continue
+                outs = [cost[q] for q in post[t]]
+                if None in outs:
+                    continue
+                c, rest = divmod(scale + sum(outs), len(pre[t]))
+                if rest:
+                    return None
+                if cost[p] is None or c < cost[p]:
+                    cost[p], changed = c, True
+
+    def lowers_by_one(t: str) -> bool:
+        ins, outs = [cost[p] for p in pre[t]], [cost[p] for p in post[t]]
+        return None not in ins + outs and sum(ins) - sum(outs) == scale
+
+    return Completion(scale, cost, tuple(filter(lowers_by_one, silent)))
+
+
+def is_block_structured(kernel: Kernel) -> bool:
+    """True iff the process-tree block rules reduce the net to a single
+    transition from its one marked place, holding one token, to a place
+    without outputs.
+
+    Each rule undoes one operator of ``discovery.tree_to_net`` on blocks
+    already reduced to an atom, a transition with one input and one other
+    output place: choice (atoms with the same input and output place
+    merge), sequence (two atoms linked by an unmarked place that only they
+    touch fuse), parallel (a split whose output places each lead through
+    one atom to a common join become one atom) and loop (enter, body, redo
+    and leave around two unmarked places become one atom).  A net that
+    reduces has the block structure of a process tree's net, whatever its
+    labels, and is therefore sound and safe.
+    """
+    pre = {n: set(v) for n, v in kernel.pre.items()}
+    post = {n: set(v) for n, v in kernel.post.items()}
+    marked = kernel.marked
+
+    def only(nodes: set[str]) -> str | None:
+        return next(iter(nodes)) if len(nodes) == 1 else None
+
+    def atom(t: str) -> bool:
+        return len(pre[t]) == len(post[t]) == 1 and pre[t] != post[t]
+
+    def drop(*nodes: str) -> None:
+        for n in nodes:
+            for m in pre.pop(n):
+                post[m].discard(n)
+            for m in post.pop(n):
+                pre[m].discard(n)
+
+    def rewire(t: str, out: str) -> None:
+        """Make ``out`` the only output place of ``t``."""
+        for p in post[t]:
+            pre[p].discard(t)
+        post[t] = {out}
+        pre[out].add(t)
+
+    def choice(t: str) -> bool:
+        twins = [u for u in post[only(pre[t])]
+                 if u != t and atom(u) and post[u] == post[t]]
+        drop(*twins)
+        return bool(twins)
+
+    def sequence(t: str) -> bool:
+        p = only(post[t])
+        u = only(post[p])
+        if (p in marked or pre[p] != {t} or u is None or u == t or not atom(u)
+                or post[u] == pre[t]):
+            return False
+        out = only(post[u])
+        drop(p, u)
+        rewire(t, out)
+        return True
+
+    def parallel(s: str) -> bool:
+        branches = []
+        for e in post[s]:
+            u = only(post[e])
+            f = None if u is None or not atom(u) else only(post[u])
+            if e in marked or pre[e] != {s} or f is None or f in marked or pre[f] != {u}:
+                return False
+            branches += [e, u, f]
+        j = only(post[branches[2]])
+        if (j is None or any(post[f] != {j} for f in branches[2::3])
+                or pre[j] != set(branches[2::3]) or only(post[j]) is None
+                or post[j] == pre[s]):
+            return False
+        out = only(post[j])
+        drop(*branches, j)
+        rewire(s, out)
+        return True
+
+    def loop(enter: str) -> bool:
+        h = only(post[enter])
+        body = only(post[h])
+        if h in marked or len(pre[h]) != 2 or body is None or not atom(body):
+            return False
+        tail = only(post[body])
+        redo = only(pre[h] - {enter})
+        if tail in marked or pre[tail] != {body} or redo not in post[tail] or len(post[tail]) != 2:
+            return False
+        leave = only(post[tail] - {redo})
+        if not (atom(redo) and atom(leave) and post[redo] == {h}):
+            return False
+        out = only(post[leave])
+        if len({enter, body, redo, leave}) < 4 or out in (h, tail) or {out} == pre[enter]:
+            return False
+        drop(h, tail, body, redo, leave)
+        rewire(enter, out)
+        return True
+
+    transitions = tuple(kernel.pure_in)
+    changed = True
+    while changed:
+        changed = False
+        for t in transitions:
+            if t not in pre:
+                continue
+            if atom(t):
+                changed |= choice(t) or sequence(t) or loop(t)
+            elif len(pre[t]) == 1 and len(post[t]) > 1:
+                changed |= parallel(t)
+    left = [t for t in transitions if t in pre]
+    if len(left) != 1 or len(pre) != 3 or not atom(left[0]):
+        return False
+    src, snk = only(pre[left[0]]), only(post[left[0]])
+    return marked == {src: 1} and not post[snk]
 
 
 def enabled(net: PetriNet, marking: Marking) -> list[str]:

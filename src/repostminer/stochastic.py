@@ -19,8 +19,8 @@ from statistics import mean, median
 from typing import IO, Iterable, Mapping, Sequence
 
 from .eventlog import Event, EventLog, Trace
-from .petri import (Kernel, PetriNet, add_tokens, is_free_choice, net_from_json,
-                    net_to_json, remove_tokens)
+from .petri import (Completion, Kernel, PetriNet, add_tokens, is_free_choice,
+                    net_from_json, net_to_json, remove_tokens)
 
 PROBABILITY_TOLERANCE = 1e-9
 
@@ -119,13 +119,31 @@ def _silent_path(kernel: Kernel, counts: dict[str, int],
     ``goal_label=None``, returns ``(tau_path, None)`` where the path reaches
     the nearest dead marking (no transition enabled at all); ``None`` when no
     such path exists.  Search depth is bounded by the number of silent
-    transitions in the net.  Ties break first on breadth-first order, so the
-    fewest silent firings win, then on net transition order: silent
-    successors are expanded, and goal transitions tried, in the order the net
-    lists them.  The result depends only on the net, the marking and the
+    transitions in the net.  Ties break first on the fewest silent firings,
+    then on net transition order: the path is the lexicographically least,
+    in net order, of the shortest ones, and the goal transition the first
+    enabled one.  The result depends only on the net, the marking and the
     goal, which is what lets replay memoize it.
+
+    A goal search is a breadth-first search (BFS) that expands only
+    ``kernel.relevant(goal_label)``, the silent transitions that can feed
+    the goal; every shortest path uses those only.  Completion descends the
+    net's exact completion distance (``kernel.completion()``, certified by
+    the net being block-structured): from each marking it fires the first
+    enabled silent transition, in net order, that lowers the distance by
+    one firing, which is the next step of the least shortest path.  It
+    returns ``None`` when a token has no silent way out, when no such step
+    is enabled, or when the distance exceeds the depth bound.  On a net
+    without the certificate completion is a BFS over every silent
+    transition.
     """
-    goals = None if goal_label is None else kernel.by_label.get(goal_label, ())
+    if goal_label is not None:
+        goals = kernel.by_label.get(goal_label, ())
+        among = kernel.relevant(goal_label)
+    elif (completion := kernel.completion()) is None:
+        goals, among = None, kernel.silent
+    else:
+        return _descend(kernel, completion, counts)
     max_depth = len(kernel.silent)
     queue: deque[tuple[dict[str, int], tuple[str, ...]]] = deque([(counts, ())])
     seen = {frozenset(counts.items())}
@@ -138,13 +156,35 @@ def _silent_path(kernel: Kernel, counts: dict[str, int],
             return path, hits[0]
         if len(path) >= max_depth:
             continue
-        for t in kernel.enabled(current, kernel.silent):
+        for t in kernel.enabled(current, among):
             succ = kernel.fire(current, t)
             k = frozenset(succ.items())
             if k not in seen:
                 seen.add(k)
                 queue.append((succ, path + (t,)))
     return None
+
+
+def _descend(kernel: Kernel, completion: Completion,
+             counts: dict[str, int]) -> SilentPath:
+    """The completion path down ``completion``'s distance from ``counts``."""
+    scale, cost, steps = completion
+    distance = 0
+    for p, n in counts.items():
+        if cost[p] is None:
+            return None
+        distance += n * cost[p]
+    if distance > scale * len(kernel.silent):
+        return None
+    path: list[str] = []
+    while distance > 0:
+        t = next((t for t in steps if kernel.can_fire(counts, t)), None)
+        if t is None:
+            return None
+        counts = kernel.fire(counts, t)
+        path.append(t)
+        distance -= scale
+    return tuple(path), None
 
 
 def _fire_timed(kernel: Kernel, tokens: dict[str, list[float]], t: str,
@@ -170,10 +210,14 @@ def replay_trace(net: PetriNet, trace: Trace, *,
 
     For each observed event the shortest silent path that enables a matching
     transition is fired first (fewest silent firings, then net transition
-    order; see ``_silent_path``); initial tokens carry the trace's first
-    timestamp so the opening firing waits zero.  After the last event the
-    replay silently completes to the nearest dead marking, which attributes
-    skipped branches to their silent transitions.  If some event cannot be
+    order; see ``_silent_path``), found by a search over the silent
+    transitions that can feed that account's transitions; initial tokens
+    carry the trace's first timestamp so the opening firing waits zero.
+    After the last event the replay silently completes to the nearest dead
+    marking, which attributes skipped branches to their silent transitions.
+    On a block-structured net, which every discovered net is, completion
+    descends the net's exact completion distance, one scan of its silent
+    transitions per firing; elsewhere it is a breadth-first search.  If some event cannot be
     enabled the result is nonconforming at that index.
 
     ``memo`` caches silent-path searches by (marking, account), with ``None``
@@ -428,10 +472,13 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
     and the trace ends when those drawn have fired.  Each trace draws from
     its own random stream, numpy's PCG64 ``default_rng((seed, trace
     index))`` reimplemented in pure Python, so generation is reproducible,
-    traces are independent, and the draws are those numpy would make.
+    traces are independent, and the draws are those numpy would make.  A
+    negative ``n_traces`` or ``seed`` raises ``ValueError`` before any draw.
     """
     if n_traces < 0:
         raise ValueError("n_traces must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     net = fspn.net
     kernel = net.kernel
     t_index = {t: i for i, t in enumerate(net.transitions)}

@@ -22,11 +22,12 @@ from repostminer.analysis import (
     replay_entropy,
     stationary_distribution,
 )
-from repostminer.discovery import ProcessTree, activity, loop, par, seq, tau, tree_to_net, xor
+from repostminer.discovery import ProcessTree, activity, seq, tree_to_net
 from repostminer.eventlog import EventLog, Trace
 from repostminer.petri import PetriNet, reachability_graph
 from repostminer.reference_nets import broadcast_net, sequential_net
-from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet, replay_log, simulate
+from repostminer.stochastic import replay_log, simulate
+from treeutil import process_trees, uniform_fspn
 
 
 def chain(matrix, states=None):
@@ -201,29 +202,6 @@ class TestEntropy:
         Q = P[np.ix_(perm, perm)]
         assert ks_entropy(chain(P)) == pytest.approx(ks_entropy(chain(Q)),
                                                      abs=1e-12)
-
-
-def process_trees(labels="abcd"):
-    """Small process trees over ``labels`` and silent leaves."""
-    leaves = st.sampled_from(list(labels)).map(activity) | st.just(tau())
-
-    def operators(children):
-        two_or_more = st.lists(children, min_size=2, max_size=3)
-        return (two_or_more.map(lambda c: seq(*c)) | two_or_more.map(lambda c: xor(*c))
-                | two_or_more.map(lambda c: par(*c))
-                | two_or_more.map(lambda c: loop(c[0], *c[1:])))
-
-    return operators(st.recursive(leaves, operators, max_leaves=3))
-
-
-def uniform_fspn(net):
-    """The net with every choice uniform and every labeled delay 1 s."""
-    probabilities = {}
-    for place in net.places:
-        outs = net.postset(place)
-        probabilities.update({(place, t): 1 / len(outs) for t in outs})
-    delays = {t: EmpiricalDelay((1.0,)) for t in net.transitions if not net.is_silent(t)}
-    return StochasticPetriNet(net, probabilities, delays)
 
 
 class TestReplayEntropy:

@@ -357,6 +357,19 @@ class TestFailures:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{command}: error in stage config: ")
 
+    @pytest.mark.parametrize("n_traces", ["0", "2"])
+    def test_simulate_negative_seed_fails_before_drawing(self, tmp_path, capsys,
+                                                         n_traces):
+        fspn = tmp_path / "fspn.json"
+        fspn.write_text(fspn_to_json(threshold_fspn()))
+        sim = tmp_path / "sim.csv"
+        assert main(["simulate", "--fspn", str(fspn), "--n-traces", n_traces,
+                     "--seed", "-1", "--out", str(sim)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("simulate: error in stage simulate: ")
+        assert not sim.exists()
+
     def test_analyze_failed_write_leaves_no_files(self, tmp_path, fixture_log,
                                                   capsys, monkeypatch):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 import functools
 import random
+import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logutil import make_log
-from repostminer.discovery import discover_tree, tree_to_net
+from repostminer.discovery import activity, discover_tree, par, seq, tree_to_net
 from repostminer.eventlog import Event, EventLog, Trace
 from repostminer.petri import PetriNet
 from repostminer.reference_nets import broadcast_net, sequential_net, threshold_fspn
@@ -18,6 +20,7 @@ from repostminer.stochastic import (
     ReplayResult,
     StatsError,
     StochasticPetriNet,
+    _silent_path,
     _Stream,
     enrich,
     enrich_from_replays,
@@ -28,6 +31,7 @@ from repostminer.stochastic import (
     simulate,
     waiting_time_stats,
 )
+from treeutil import process_trees, uniform_fspn
 
 
 def timed_trace(pairs, trace_id="x"):
@@ -147,6 +151,131 @@ class TestMemoizedReplay:
         for trace, result in zip(log.traces, memoized):
             if any(e.activity == "stranger" for e in trace.events):
                 assert not result.conforming
+
+
+def reference_path(kernel, counts, goal_label):
+    """Replay's silent-path search as a breadth-first search over every
+    silent transition, expanded in net order and cut at depth
+    ``len(kernel.silent)``: the result the faster searches must equal."""
+    goals = None if goal_label is None else kernel.by_label.get(goal_label, ())
+    max_depth = len(kernel.silent)
+    queue = deque([(counts, ())])
+    seen = {frozenset(counts.items())}
+    while queue:
+        current, path = queue.popleft()
+        if goals is None:
+            if not kernel.enabled(current):
+                return path, None
+        elif hits := kernel.enabled(current, goals):
+            return path, hits[0]
+        if len(path) >= max_depth:
+            continue
+        for t in kernel.enabled(current, kernel.silent):
+            succ = kernel.fire(current, t)
+            k = frozenset(succ.items())
+            if k not in seen:
+                seen.add(k)
+                queue.append((succ, path + (t,)))
+    return None
+
+
+def fire_all(kernel, counts, transitions):
+    for t in transitions:
+        counts = kernel.fire(counts, t)
+    return counts
+
+
+def campaign_log(width, cascades=150, seed=12):
+    """Repeat-repost campaign: each cascade is a lead, then all ``width``
+    bots in random order, with a 30% chance of one bot reposting twice,
+    cut to 10 events."""
+    rng = random.Random(seed)
+    bots = [f"b{i:02d}" for i in range(width)]
+    seqs = []
+    for _ in range(cascades):
+        who = rng.sample(bots, width)
+        if rng.random() < 0.3:
+            who.insert(rng.randrange(width + 1), rng.choice(bots))
+        seqs.append((["lead"] + who)[:10])
+    return make_log(seqs)
+
+
+class TestSilentSearch:
+    @given(process_trees("abcdef", width=6), st.integers(0, 2**32 - 1),
+           st.integers(1, 8),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20),
+                              st.sampled_from(["unknown", "swap"])), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_breadth_first_reference(self, tree, seed, n_traces, edits):
+        # Every marking a replay passes through, unknown accounts included:
+        # the completion from it and the search for its next event.
+        net = tree_to_net(tree)
+        kernel = net.kernel
+        assert kernel.completion() is not None  # a tree's net is certified
+        traces = list(simulate(uniform_fspn(net), n_traces, seed=seed,
+                               max_firings=60).traces)
+        for index, position, kind in edits:
+            i = index % len(traces)
+            traces[i] = inject(traces[i], [(position, kind)])
+        for trace in traces:
+            counts = dict(net.initial_marking)
+            for event in trace.events + (None,):
+                assert (_silent_path(kernel, counts, None)
+                        == reference_path(kernel, counts, None))
+                if event is None:
+                    break
+                found = _silent_path(kernel, counts, event.activity)
+                assert found == reference_path(kernel, counts, event.activity)
+                if found is None:
+                    break
+                counts = fire_all(kernel, counts, found[0] + (found[1],))
+
+    def test_prefix_of_a_sequence_has_no_completion(self):
+        net = tree_to_net(seq(activity("A"), activity("B"), activity("C")))
+        kernel = net.kernel
+        counts = dict(net.initial_marking)
+        for label in "AB":
+            counts = kernel.fire(counts, kernel.by_label[label][0])
+        assert _silent_path(kernel, counts, None) is None
+        assert reference_path(kernel, counts, None) is None
+
+    def test_unsound_net_completes_by_search(self):
+        # A silent choice in front of a silent join: whichever branch fires,
+        # the join never does, so the nearest dead marking is one firing
+        # away although the distance would count the join too.
+        net = PetriNet(
+            places=("s", "a", "b", "end"), transitions=("ta", "tb", "join"),
+            arcs=(("s", "ta"), ("ta", "a"), ("s", "tb"), ("tb", "b"),
+                  ("a", "join"), ("b", "join"), ("join", "end")),
+            labels={"ta": None, "tb": None, "join": None},
+            initial_marking={"s": 1},
+        )
+        assert net.kernel.completion() is None
+        assert (_silent_path(net.kernel, {"s": 1}, None)
+                == reference_path(net.kernel, {"s": 1}, None) == (("ta",), None))
+
+    def test_goal_search_expands_only_feeding_transitions(self):
+        # ->(A, /\(B, C)): the split feeds B and C, the join feeds nothing
+        kernel = tree_to_net(seq(activity("A"), par(activity("B"), activity("C")))).kernel
+        split, _join = kernel.silent
+        assert kernel.relevant("B") == kernel.relevant("C") == (split,)
+        assert kernel.relevant("A") == kernel.relevant("stranger") == ()
+
+    def test_repeat_repost_campaign_width_12(self):
+        started = time.perf_counter()
+        log = campaign_log(12)
+        net = tree_to_net(discover_tree(log, 0.2))
+        kernel = net.kernel
+        replays = replay_log(net, log)
+        elapsed = time.perf_counter() - started
+        (sink,) = [p for p in net.places if not kernel.post[p]]
+        for result in replays:
+            assert result.conforming
+            final = fire_all(kernel, dict(net.initial_marking),
+                             [f.transition for f in result.firings])
+            assert final == {sink: 1}  # completion reached the final marking
+        assert len(replays) == 150
+        assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
 
 class TestEnrich:
@@ -370,6 +499,8 @@ class TestStream:
     def test_simulate_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             simulate(threshold_fspn(), 1, seed=-1)
+        with pytest.raises(ValueError, match="seed"):  # checked before any draw
+            simulate(threshold_fspn(), 0, seed=-1)
 
 
 class TestFspnJson:
