@@ -262,10 +262,10 @@ class Kernel:
         ``1/scale`` firings, ``scale`` being the product of the silent
         transitions' input counts, so comparisons are exact.
 
-        The certificate is :func:`is_block_structured`: such a net is the
-        net of a process tree, sound and safe, and from each of its
-        reachable markings the distance is the fewest silent firings to a
-        dead marking.  On any other net, or where a cost would not divide
+        The certificate is :func:`is_block_structured`: such a net has a
+        process tree's block structure, so it is sound and safe, and from
+        each of its reachable markings the distance is the fewest silent
+        firings to a dead marking.  On any other net, or where a cost would not divide
         evenly, this returns ``None``.
         """
         try:
@@ -399,7 +399,7 @@ def is_block_structured(kernel: Kernel) -> bool:
         rewire(enter, out)
         return True
 
-    transitions = tuple(kernel.pure_in)
+    transitions = tuple(kernel.pure_in)  # all of them, in net order
     changed = True
     while changed:
         changed = False
