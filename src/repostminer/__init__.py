@@ -2,18 +2,12 @@
 
 from .analysis import (
     ChainConstructionError,
-    ConvergenceError,
-    MarkovChain,
-    MatrixError,
     MeasureError,
     MetricsReport,
-    build_markov_chain,
     density,
     diameter,
-    ks_entropy,
     ks_two_sample,
     replay_entropy,
-    stationary_distribution,
 )
 from .discovery import (
     Cut,

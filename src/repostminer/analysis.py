@@ -2,13 +2,10 @@
 
 Density and diameter treat the net as a directed graph over places and
 transitions.  Behavior is summarized by the Kolmogorov-Sinai entropy of a
-Markov chain over the markings replays visit, each replay closed end-to-start.
-The pipeline takes it from visit counts with :func:`replay_entropy`;
-:func:`build_markov_chain` builds the same chain as a matrix over the
-reachability graph for :func:`stationary_distribution` and :func:`ks_entropy`.
-A two-sample Kolmogorov-Smirnov test compares waiting-time samples between
-runs.  The pipeline's measures are plain Python; numpy is imported only by
-the matrix-chain functions, which the library and the tests use.
+Markov chain over the markings replays visit, each replay closed end-to-start;
+:func:`replay_entropy` takes it from visit counts, with no reachability graph
+or transition matrix.  A two-sample Kolmogorov-Smirnov test compares
+waiting-time samples between runs.  Every measure is plain Python.
 """
 
 from __future__ import annotations
@@ -17,28 +14,14 @@ import math
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .discovery import strongly_connected
-from .petri import PetriNet, ReachabilityGraph
+from .petri import PetriNet
 from .stochastic import ReplayResult
-
-if TYPE_CHECKING:
-    import numpy as np
-
-ROW_SUM_TOLERANCE = 1e-9
 
 
 class MeasureError(ValueError):
     """The measure is undefined for this net (too few nodes / no arcs)."""
-
-
-class MatrixError(ValueError):
-    """The transition matrix is not row-stochastic."""
-
-
-class ConvergenceError(RuntimeError):
-    """No single stationary distribution could be reached."""
 
 
 class ChainConstructionError(RuntimeError):
@@ -71,74 +54,18 @@ def diameter(net: PetriNet) -> int:
     return best
 
 
-@dataclass(eq=False)
-class MarkovChain:
-    """Replay-visited reachability states with a row-stochastic matrix.
-
-    ``states[i]`` is the reachability-graph state index behind matrix row
-    ``i``; ``stationary`` is filled once computed.
-    """
-
-    states: tuple[int, ...]
-    matrix: np.ndarray
-    stationary: np.ndarray | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        n = len(self.states)
-        if self.matrix.shape != (n, n):
-            raise MatrixError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
-
-
-def build_markov_chain(rg: ReachabilityGraph,
-                       replays: Sequence[ReplayResult]) -> MarkovChain:
-    """Estimate state-transition probabilities from replay traversals.
-
-    Each conforming replay's firing sequence is mapped to a path through the
-    reachability graph starting at state 0 and closed by one traversal from
-    its end state back to state 0, so every trace's termination counts and
-    the chain always admits a stationary distribution; states never visited
-    are dropped.
-    """
-    import numpy as np
-
-    conforming = [r for r in replays if r.conforming]
-    if not conforming:
-        raise ChainConstructionError("no conforming replays to build the chain from")
-
-    step = {(e.src, e.transition): e.dst for e in rg.edges}
-    traversals: Counter[tuple[int, int]] = Counter()
-    for result in conforming:
-        state = 0
-        for firing in result.firings:
-            nxt = step.get((state, firing.transition))
-            if nxt is None:
-                raise ValueError(
-                    f"replay of {result.trace_id} fires {firing.transition} "
-                    f"outside the reachability graph")
-            traversals[(state, nxt)] += 1
-            state = nxt
-        traversals[(state, 0)] += 1  # the trace ends: close back to the start
-
-    states = tuple(sorted({src for src, _ in traversals}))
-    pos = {s: i for i, s in enumerate(states)}
-    matrix = np.zeros((len(states), len(states)))
-    out_totals: Counter[int] = Counter()
-    for (src, _), n in traversals.items():
-        out_totals[src] += n
-    for (src, dst), n in traversals.items():
-        matrix[pos[src], pos[dst]] = n / out_totals[src]
-    return MarkovChain(states, matrix)
-
-
 def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
                    log_base: float | None = None) -> float:
-    """``ks_entropy`` of the :func:`build_markov_chain` chain in one pass.
+    """Kolmogorov-Sinai entropy of the replay chain over markings, in one pass.
 
-    Every replay starts at the initial marking and is closed back to it, so
-    the chain is regenerative and its stationary law is the normalised visit
-    count (Kemeny & Snell, *Finite Markov Chains*): the entropy is
-    ``sum n(s, s') * -log(n(s, s') / out(s)) / sum visits(s)`` over the moves
-    counted between markings.  No reachability graph or matrix is built.
+    The chain moves between the markings the conforming replays visit, with
+    probabilities estimated from move counts.  Every replay starts at the
+    initial marking and is closed back to it, so every trace's termination
+    counts, the chain is regenerative and its stationary law is the
+    normalised visit count (Kemeny & Snell, *Finite Markov Chains*): the
+    entropy is ``sum n(s, s') * -log(n(s, s') / out(s)) / sum visits(s)``
+    over the moves counted between markings.  Natural logarithm by default;
+    pass ``log_base`` to rescale.  No reachability graph or matrix is built.
     """
     conforming = [r for r in replays if r.conforming]
     if not conforming:
@@ -173,75 +100,6 @@ def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
     for (src, _), n in moves.items():
         weighted -= n * math.log(n / out_totals[src])
     h = weighted / sum(out_totals.values())  # every visit departs once
-    if log_base is not None:
-        h /= math.log(log_base)
-    return h
-
-
-def _closed_classes(matrix: np.ndarray) -> list[list[int]]:
-    """Strongly connected components with no outgoing probability mass."""
-    import numpy as np
-
-    n = matrix.shape[0]
-    succ = {i: np.nonzero(matrix[i] > 0)[0].tolist() for i in range(n)}
-    sccs = strongly_connected(range(n), succ)
-    scc_of = {node: i for i, comp in enumerate(sccs) for node in comp}
-    return [sorted(comp) for i, comp in enumerate(sccs)
-            if all(scc_of[j] == i for node in comp for j in succ[node])]
-
-
-def stationary_distribution(mc: MarkovChain, tol: float = 1e-10,
-                            max_iter: int = 100_000) -> np.ndarray:
-    """Stationary probabilities via power iteration on the half-lazy matrix.
-
-    Iterating (P + I) / 2 defeats periodicity while keeping the fixed point;
-    the residual ||mu P - mu||_1 is checked against ``tol`` on the original
-    matrix.  Raises :class:`MatrixError` for non-stochastic input and
-    :class:`ConvergenceError` when several closed communicating classes make
-    the distribution ambiguous or the iteration cap is hit.
-    """
-    import numpy as np
-
-    P = np.asarray(mc.matrix, dtype=float)
-    n = P.shape[0]
-    if n == 0:
-        raise MatrixError("empty chain")
-    sums = P.sum(axis=1)
-    if np.any(P < -ROW_SUM_TOLERANCE) or np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise MatrixError(f"row {bad} sums to {sums[bad]}, not 1")
-
-    closed = _closed_classes(P)
-    if len(closed) > 1:
-        named = "; ".join("{" + ", ".join(str(mc.states[i]) for i in comp) + "}"
-                          for comp in closed)
-        raise ConvergenceError(f"multiple closed classes: {named}")
-
-    mu = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        step = mu @ P
-        if np.abs(step - mu).sum() <= tol:
-            mu = np.maximum(mu, 0.0)
-            result = mu / mu.sum()
-            mc.stationary = result
-            return result
-        mu = 0.5 * (step + mu)  # half-lazy update: same fixed point, aperiodic
-    raise ConvergenceError(f"no convergence within {max_iter} iterations")
-
-
-def ks_entropy(mc: MarkovChain, log_base: float | None = None) -> float:
-    """Kolmogorov-Sinai entropy: stationary-weighted row entropies.
-
-    Natural logarithm by default; pass ``log_base`` to rescale.  Zero
-    probabilities contribute nothing (0 log 0 = 0).
-    """
-    import numpy as np
-
-    mu = mc.stationary if mc.stationary is not None else stationary_distribution(mc)
-    P = mc.matrix
-    mask = P > 0
-    row_entropy = -np.where(mask, P * np.log(np.where(mask, P, 1.0)), 0.0).sum(axis=1)
-    h = float(mu @ row_entropy)
     if log_base is not None:
         h /= math.log(log_base)
     return h

@@ -116,6 +116,12 @@ def parse_schema_spec(text: str) -> dict[str, str]:
     return out
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a DOT double-quoted string, its backslashes and quotes
+    escaped so that any account id stays one string with its own text."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(net: petri.PetriNet,
                arc_probabilities: dict[tuple[str, str], float] | None = None) -> str:
     """DOT text: places as circles, labeled transitions as boxes, silent
@@ -124,19 +130,19 @@ def export_dot(net: petri.PetriNet,
     for p in net.places:
         tokens = net.initial_marking.get(p, 0)
         label = str(tokens) if tokens else ""
-        lines.append(f'  "{p}" [shape=circle, label="{label}"];')
+        lines.append(f'  {_dot_string(p)} [shape=circle, label="{label}"];')
     for t in net.transitions:
         label = net.label(t)
         if label is None:
-            lines.append(f'  "{t}" [shape=box, style=filled, '
+            lines.append(f'  {_dot_string(t)} [shape=box, style=filled, '
                          f'fillcolor=black, label=""];')
         else:
-            lines.append(f'  "{t}" [shape=box, label="{label}"];')
+            lines.append(f'  {_dot_string(t)} [shape=box, label={_dot_string(label)}];')
     for src, dst in net.arcs:
         suffix = ""
         if arc_probabilities is not None and (src, dst) in arc_probabilities:
             suffix = f' [label="{arc_probabilities[(src, dst)]:.6g}"]'
-        lines.append(f'  "{src}" -> "{dst}"{suffix};')
+        lines.append(f'  {_dot_string(src)} -> {_dot_string(dst)}{suffix};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

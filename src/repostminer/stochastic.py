@@ -2,9 +2,11 @@
 
 Token replay walks a trace over the net, routing through silent transitions
 where needed, and records for every firing when the transition became enabled
-and when it fired.  Those waits feed per-account delay distributions, arc
-probabilities estimated from token consumption, and the replay-based Markov
-chain used for entropy.
+and when it fired.  Those waits feed per-account delay distributions and arc
+probabilities estimated from token consumption; the replays' firings are also
+the marking visits that ``analysis.replay_entropy`` counts.  Simulation draws
+from numpy's PCG64 stream reimplemented in pure Python, so nothing here
+imports numpy.
 """
 
 from __future__ import annotations
@@ -473,12 +475,15 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
     its own random stream, numpy's PCG64 ``default_rng((seed, trace
     index))`` reimplemented in pure Python, so generation is reproducible,
     traces are independent, and the draws are those numpy would make.  A
-    negative ``n_traces`` or ``seed`` raises ``ValueError`` before any draw.
+    negative ``n_traces``, ``seed`` or ``max_firings`` raises ``ValueError``
+    before any draw.
     """
     if n_traces < 0:
         raise ValueError("n_traces must be nonnegative")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if max_firings < 0:
+        raise ValueError("max_firings must be nonnegative")
     net = fspn.net
     kernel = net.kernel
     t_index = {t: i for i, t in enumerate(net.transitions)}

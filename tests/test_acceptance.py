@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,18 +19,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from densechain import dense_entropy
 from logutil import make_log
-from repostminer.analysis import (
-    MarkovChain,
-    build_markov_chain,
-    density,
-    diameter,
-    ks_entropy,
-    ks_two_sample,
-    stationary_distribution,
-)
+from repostminer.analysis import density, diameter, ks_two_sample, replay_entropy
 from repostminer.cli import PipelineConfig, run_pipeline
-from repostminer.discovery import discover_tree, format_tree, reduce_net, tree_to_net
+from repostminer.discovery import (
+    activity,
+    discover_tree,
+    format_tree,
+    par,
+    reduce_net,
+    tree_to_net,
+)
 from repostminer.eventlog import Event, Trace
 from repostminer.petri import (
     FiringError,
@@ -43,7 +44,8 @@ from repostminer.petri import (
     tau_free_language,
 )
 from repostminer.reference_nets import broadcast_net, sequential_net, threshold_fspn
-from repostminer.stochastic import enrich, replay_trace, simulate
+from repostminer.stochastic import enrich, replay_log, replay_trace, simulate
+from treeutil import random_replays
 
 
 def report(number, text):
@@ -206,27 +208,36 @@ def test_criterion_3_threshold_round_trip():
 
 
 def test_criterion_4_entropy_checks():
+    """The reported entropy matches hand-solved chains and a dense solve."""
     started = time.perf_counter()
-    cycle = MarkovChain((0, 1, 2), np.array(
-        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    assert ks_entropy(cycle) == 0.0
 
-    uniform = MarkovChain((0, 1), np.full((2, 2), 0.5))
-    assert abs(ks_entropy(uniform) - math.log(2)) <= 1e-9
+    def entropy(net, seqs, log_base=None):
+        return replay_entropy(net, replay_log(net, make_log(seqs)), log_base)
 
-    rng = np.random.default_rng(404)
+    assert entropy(sequential_net(), [("A", "B", "C")] * 2) == 0.0
+    self_loop = PetriNet(("p",), ("t",), (("p", "t"), ("t", "p")), {"t": "a"}, {"p": 1})
+    assert entropy(self_loop, [("a", "a"), ("a",)]) == 0.0
+    both = tree_to_net(par(activity("A"), activity("B")))
+    assert abs(entropy(both, [("A", "B"), ("B", "A")]) - math.log(2) / 5) <= 1e-12
+    fans = [("A", "B", "C"), ("A", "C", "B")]
+    assert abs(entropy(broadcast_net(), fans) - math.log(2) / 4) <= 1e-12
+    assert abs(entropy(broadcast_net(), fans, log_base=2) - 1 / 4) <= 1e-12
+
+    rng = random.Random(404)
+    checked = 0
     for _ in range(30):
-        P = rng.dirichlet(np.ones(6), size=6)
-        mc = MarkovChain(tuple(range(6)), P)
-        mu = stationary_distribution(mc, tol=1e-12)
-        assert np.abs(mu @ P - mu).sum() <= 1e-10
-        A = np.vstack([P.T - np.eye(6), np.ones(6)])
-        b = np.concatenate([np.zeros(6), [1.0]])
-        direct, *_ = np.linalg.lstsq(A, b, rcond=None)
-        assert np.max(np.abs(mu - direct)) <= 1e-8
+        net, replays = random_replays(rng)
+        if not any(r.conforming for r in replays):
+            continue
+        for base in (None, 2):
+            assert abs(replay_entropy(net, replays, base)
+                       - dense_entropy(net, replays, base)) <= 1e-9
+        checked += 1
+    assert checked >= 20
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
-    report(4, f"deterministic 0, uniform ln 2, residuals <= 1e-10 "
+    report(4, f"sequence and self-loop 0, ln 2 / 5 and ln 2 / 4 by hand, base 2 "
+              f"rescales, {checked} random logs within 1e-9 of the dense solve "
               f"({elapsed:.2f} s)")
 
 

@@ -1,38 +1,29 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from densechain import dense_entropy, move_counts, stationary
 from logutil import make_log
 from repostminer.analysis import (
     ChainConstructionError,
-    ConvergenceError,
-    MarkovChain,
-    MatrixError,
     MeasureError,
     MetricsReport,
-    build_markov_chain,
     density,
     diameter,
-    ks_entropy,
     ks_two_sample,
     replay_entropy,
-    stationary_distribution,
 )
-from repostminer.discovery import ProcessTree, activity, seq, tree_to_net
+from repostminer.discovery import ProcessTree, activity, par, seq, tree_to_net, xor
 from repostminer.eventlog import EventLog, Trace
-from repostminer.petri import PetriNet, reachability_graph
+from repostminer.petri import PetriNet
 from repostminer.reference_nets import broadcast_net, sequential_net
 from repostminer.stochastic import replay_log, simulate
-from treeutil import process_trees, uniform_fspn
-
-
-def chain(matrix, states=None):
-    m = np.asarray(matrix, dtype=float)
-    return MarkovChain(tuple(states or range(m.shape[0])), m)
+from treeutil import process_trees, random_replays, uniform_fspn
 
 
 class TestStructuralMeasures:
@@ -85,123 +76,137 @@ class TestStructuralMeasures:
         assert diameter(net) == 1
 
 
+def replays_of(net, seqs):
+    return replay_log(net, make_log(seqs))
+
+
+def uniform_two_state_net():
+    """p0 loops on a or moves on b to p1, which loops on c: the trace
+    (a, b, c) and its closing move make every row 1/2 : 1/2."""
+    return PetriNet(("p0", "p1"), ("a", "b", "c"),
+                    (("p0", "a"), ("a", "p0"), ("p0", "b"), ("b", "p1"),
+                     ("p1", "c"), ("c", "p1")),
+                    {"a": "a", "b": "b", "c": "c"}, {"p0": 1})
+
+
 class TestMarkovChain:
+    """The chain over replay-visited markings, as ``replay_entropy`` reads it."""
+
     def test_traversal_frequencies(self):
+        # after A, two replays fire B first and one C: a 2/3 : 1/3 row
+        # departed 3 times of the 12 departures
         net = broadcast_net()
-        rg = reachability_graph(net)
-        log = make_log([("A", "B", "C"), ("A", "B", "C"), ("A", "C", "B")])
-        mc = build_markov_chain(rg, replay_log(net, log))
-        assert mc.states == (0, 1, 2, 3, 4)
-        # state 1 holds tokens in p2 and p3: two replays fired B first
-        assert mc.matrix[1, 2] == pytest.approx(2 / 3)
-        assert mc.matrix[1, 3] == pytest.approx(1 / 3)
+        replays = replays_of(net, [("A", "B", "C"), ("A", "B", "C"), ("A", "C", "B")])
+        row = -2 / 3 * math.log(2 / 3) - 1 / 3 * math.log(1 / 3)
+        assert replay_entropy(net, replays) == pytest.approx(row * 3 / 12, abs=1e-12)
 
     def test_end_state_closed_to_start(self):
+        # the two closing moves count as departures: 8 of them, not 6
         net = broadcast_net()
-        rg = reachability_graph(net)
-        mc = build_markov_chain(rg, replay_log(net, make_log([("A", "B", "C")])))
-        assert mc.matrix[-1, 0] == 1.0
-        assert np.allclose(mc.matrix.sum(axis=1), 1.0)
+        replays = replays_of(net, [("A", "B", "C"), ("A", "C", "B")])
+        assert replay_entropy(net, replays) == pytest.approx(math.log(2) / 4, abs=1e-12)
 
     def test_cycle_needs_no_closure(self):
         net = PetriNet(("p",), ("t",), (("p", "t"), ("t", "p")),
                        {"t": "a"}, {"p": 1})
-        rg = reachability_graph(net)
-        mc = build_markov_chain(rg, replay_log(net, make_log([("a", "a")])))
-        assert mc.matrix[0, 0] == 1.0
+        assert replay_entropy(net, replays_of(net, [("a", "a"), ("a",)])) == 0.0
 
     def test_unvisited_states_dropped(self):
-        net = broadcast_net()
-        rg = reachability_graph(net)
-        log = make_log([("A", "B", "C")])  # the C-first interleaving never occurs
-        mc = build_markov_chain(rg, replay_log(net, log))
-        assert 3 not in mc.states
+        # the C, D, E branch is never entered: its markings take no share
+        # of the stationary law, which leaves par(A, B)'s ln 2 / 5
+        net = tree_to_net(xor(par(activity("A"), activity("B")),
+                              seq(activity("C"), activity("D"), activity("E"))))
+        replays = replays_of(net, [("A", "B"), ("B", "A")])
+        assert replay_entropy(net, replays) == pytest.approx(math.log(2) / 5, abs=1e-12)
 
     def test_no_conforming_replays(self):
-        net = broadcast_net()
-        rg = reachability_graph(net)
         with pytest.raises(ChainConstructionError):
-            build_markov_chain(rg, replay_log(net, make_log([("Z",)])))
+            replay_entropy(broadcast_net(), [])
 
     def test_every_trace_closed(self):
         # (A, B) ends where the (A, B, C) traces pass through: its
         # termination must still count, splitting that state 3 : 2.
         net = tree_to_net(seq(activity("A"), activity("B"), activity("C")))
         replays = replay_log(net, make_log([("A", "B", "C")] * 3 + [("A", "B")] * 2))
-        mc = build_markov_chain(reachability_graph(net), replays)
         expected = (-0.6 * math.log(0.6) - 0.4 * math.log(0.4)) * 5 / 18
         assert expected == pytest.approx(0.186947685, abs=1e-9)
-        assert ks_entropy(mc) == pytest.approx(expected, abs=1e-9)
         assert replay_entropy(net, replays) == pytest.approx(expected, abs=1e-12)
 
 
 class TestStationary:
+    """The dense reference's stationary solve, and the regenerative law that
+    lets ``replay_entropy`` do without it."""
+
     def test_swap_chain_is_uniform(self):
-        mu = stationary_distribution(chain([[0, 1], [1, 0]]))
+        mu = stationary(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert mu == pytest.approx([0.5, 0.5])
 
     def test_hand_solved_two_state(self):
-        mu = stationary_distribution(chain([[0.5, 0.5], [0.25, 0.75]]))
+        mu = stationary(np.array([[0.5, 0.5], [0.25, 0.75]]))
         assert mu == pytest.approx([1 / 3, 2 / 3])
 
-    def test_row_sum_validated(self):
-        with pytest.raises(MatrixError, match="0.9"):
-            stationary_distribution(chain([[0.4, 0.5], [0.5, 0.5]]))
-
-    def test_multiple_closed_classes_named(self):
-        with pytest.raises(ConvergenceError, match="closed classes"):
-            stationary_distribution(chain([[1.0, 0.0], [0.0, 1.0]]))
-
     def test_transient_states_are_fine(self):
-        mu = stationary_distribution(chain([[0.0, 1.0], [0.0, 1.0]]))
+        mu = stationary(np.array([[0.0, 1.0], [0.0, 1.0]]))
         assert mu == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_matches_direct_solve_on_random_chains(self):
-        rng = np.random.default_rng(2024)
+        # the closed replay chain's stationary law is its normalised visit count
+        rng = random.Random(2024)
         for _ in range(25):
-            P = rng.dirichlet(np.ones(6), size=6)
-            mc = chain(P)
-            mu = stationary_distribution(mc, tol=1e-12)
-            assert np.abs(mu @ P - mu).sum() <= 1e-10
-            A = np.vstack([P.T - np.eye(6), np.ones(6)])
-            b = np.concatenate([np.zeros(6), [1.0]])
-            direct, *_ = np.linalg.lstsq(A, b, rcond=None)
-            assert np.max(np.abs(mu - direct)) <= 1e-8
-
-    def test_result_cached_on_chain(self):
-        mc = chain([[0, 1], [1, 0]])
-        stationary_distribution(mc)
-        assert mc.stationary is not None
+            net, replays = random_replays(rng)
+            if not any(r.conforming for r in replays):
+                continue
+            counts = move_counts(net, replays)
+            visits = counts.sum(axis=1)
+            mu = stationary(counts / visits[:, None])
+            assert np.max(np.abs(mu - visits / visits.sum())) <= 1e-9
 
 
 class TestEntropy:
     def test_deterministic_cycle_zero(self):
-        mc = chain([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        assert ks_entropy(mc) == 0.0
+        net = sequential_net()
+        assert replay_entropy(net, replays_of(net, [("A", "B", "C")] * 3)) == 0.0
 
     def test_two_state_uniform_ln2(self):
-        assert ks_entropy(chain([[0.5, 0.5], [0.5, 0.5]])) == pytest.approx(
-            math.log(2), abs=1e-9)
+        net = uniform_two_state_net()
+        assert replay_entropy(net, replays_of(net, [("a", "b", "c")])) == pytest.approx(
+            math.log(2), abs=1e-12)
 
     def test_log_base_rescales(self):
-        mc = chain([[0.5, 0.5], [0.5, 0.5]])
-        assert ks_entropy(mc, log_base=2) == pytest.approx(1.0, abs=1e-9)
+        net = uniform_two_state_net()
+        replays = replays_of(net, [("a", "b", "c")])
+        assert replay_entropy(net, replays, log_base=2) == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_by_log_out_degree(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            P = rng.dirichlet(np.ones(4), size=4)
-            mc = chain(P)
-            out_degree = int((P > 0).sum(axis=1).max())
-            assert 0.0 <= ks_entropy(mc) <= math.log(out_degree) + 1e-12
+        rng = random.Random(5)
+        for _ in range(25):
+            net, replays = random_replays(rng)
+            if not any(r.conforming for r in replays):
+                continue
+            out_degree = int((move_counts(net, replays) > 0).sum(axis=1).max())
+            assert 0.0 <= replay_entropy(net, replays) <= math.log(out_degree) + 1e-12
 
     def test_invariant_under_relabeling(self):
-        rng = np.random.default_rng(8)
-        P = rng.dirichlet(np.ones(5), size=5)
-        perm = rng.permutation(5)
-        Q = P[np.ix_(perm, perm)]
-        assert ks_entropy(chain(P)) == pytest.approx(ks_entropy(chain(Q)),
-                                                     abs=1e-12)
+        # renaming and reordering places and transitions keeps every marking
+        # distinct, so the chain and its entropy stay the same
+        rng = random.Random(8)
+        for _ in range(10):
+            net, replays = random_replays(rng)
+            if not any(r.conforming for r in replays):
+                continue
+            names = {n: f"x{i}" for i, n in enumerate(
+                rng.sample(net.places + net.transitions, net.node_count()))}
+            renamed = PetriNet(
+                tuple(rng.sample([names[p] for p in net.places], len(net.places))),
+                tuple(rng.sample([names[t] for t in net.transitions],
+                                 len(net.transitions))),
+                tuple((names[a], names[b]) for a, b in net.arcs),
+                {names[t]: net.label(t) for t in net.transitions},
+                {names[p]: n for p, n in net.initial_marking.items()})
+            moved = [replace(r, firings=tuple(replace(f, transition=names[f.transition])
+                                              for f in r.firings)) for r in replays]
+            assert replay_entropy(renamed, moved) == pytest.approx(
+                replay_entropy(net, replays), abs=1e-12)
 
 
 class TestReplayEntropy:
@@ -217,10 +222,9 @@ class TestReplayEntropy:
             traces[index % len(traces)] = Trace(t.trace_id, t.events[:keep])
         replays = replay_log(net, EventLog(tuple(traces)))
         assume(any(r.conforming for r in replays))
-        mc = build_markov_chain(reachability_graph(net), replays)
         for base in (None, 2):
             assert replay_entropy(net, replays, base) == pytest.approx(
-                ks_entropy(mc, base), abs=1e-9)
+                dense_entropy(net, replays, base), abs=1e-9)
 
     def test_nonconforming_replays_ignored(self):
         net = broadcast_net()

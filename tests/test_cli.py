@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import repostminer
 from repostminer.cli import (
     PipelineConfig,
     PipelineError,
@@ -164,6 +166,16 @@ class TestExportDot:
         text = export_dot(net)
         assert text.startswith("digraph net {") and text.rstrip().endswith("}")
 
+    def test_quotes_and_backslashes_escaped(self):
+        # an account id ending in a backslash must not escape the closing quote
+        net = PetriNet(("p\\",), ('t"',), (("p\\", 't"'),), {'t"': 'a"b\\'}, {"p\\": 1})
+        lines = export_dot(net).splitlines()
+        assert lines[2:5] == [
+            '  "p\\\\" [shape=circle, label="1"];',
+            '  "t\\"" [shape=box, label="a\\"b\\\\"];',
+            '  "p\\\\" -> "t\\"";',
+        ]
+
 
 class TestCompare:
     def test_identical_runs(self):
@@ -277,9 +289,25 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert "fixture" in proc.stdout
 
+    def test_no_module_imports_numpy(self):
+        # numpy is for the tests and the benchmark only; ast finds the lazy
+        # imports inside functions and the TYPE_CHECKING ones too
+        found = []
+        for path in sorted(Path(repostminer.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "numpy" for m in modules):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
     def test_every_command_runs_without_numpy(self, tmp_path, fixture_log):
-        # numpy is a dependency of the library's matrix chain only: with it
-        # blocked, importing the CLI and running each subcommand must work.
+        # the library needs no numpy: with it blocked, importing the CLI and
+        # running each subcommand must work.
         script = textwrap.dedent("""\
         import sys
         sys.modules["numpy"] = None  # any import of numpy now fails
@@ -368,6 +396,20 @@ class TestFailures:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("simulate: error in stage simulate: ")
+        assert not sim.exists()
+
+    @pytest.mark.parametrize("n_traces", ["0", "2"])
+    def test_simulate_negative_max_firings_fails_before_drawing(self, tmp_path, capsys,
+                                                                n_traces):
+        fspn = tmp_path / "fspn.json"
+        fspn.write_text(fspn_to_json(threshold_fspn()))
+        sim = tmp_path / "sim.csv"
+        assert main(["simulate", "--fspn", str(fspn), "--n-traces", n_traces,
+                     "--max-firings", "-5", "--out", str(sim)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("simulate: error in stage simulate: ")
+        assert "max_firings" in err
         assert not sim.exists()
 
     def test_analyze_failed_write_leaves_no_files(self, tmp_path, fixture_log,

@@ -2,8 +2,9 @@
 
 from hypothesis import strategies as st
 
-from repostminer.discovery import activity, loop, par, seq, tau, xor
-from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet
+from repostminer.discovery import activity, loop, par, seq, tau, tree_to_net, xor
+from repostminer.eventlog import EventLog, Trace
+from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet, replay_log, simulate
 
 
 def process_trees(labels="abcd", width=3):
@@ -20,6 +21,17 @@ def process_trees(labels="abcd", width=3):
     return operators(st.recursive(leaves, operators, max_leaves=3))
 
 
+def random_tree(rng, labels="abcd", width=3, depth=2):
+    """A process tree drawn from ``random.Random`` ``rng``: an operator over
+    2 to ``width`` children, each a leaf or, while ``depth`` exceeds 1,
+    possibly another such tree."""
+    children = [random_tree(rng, labels, width, depth - 1)
+                if depth > 1 and rng.random() < 0.4
+                else (tau() if rng.random() < 0.15 else activity(rng.choice(labels)))
+                for _ in range(rng.randint(2, width))]
+    return rng.choice((seq, xor, par, loop))(*children)
+
+
 def uniform_fspn(net):
     """The net with every choice uniform and every labeled delay 1 s."""
     probabilities = {}
@@ -28,3 +40,15 @@ def uniform_fspn(net):
         probabilities.update({(place, t): 1 / len(outs) for t in outs})
     delays = {t: EmpiricalDelay((1.0,)) for t in net.transitions if not net.is_silent(t)}
     return StochasticPetriNet(net, probabilities, delays)
+
+
+def random_replays(rng):
+    """The net of a :func:`random_tree` and the replays of a seeded uniform
+    log of it, some traces cut short as truncated cascades are."""
+    net = tree_to_net(random_tree(rng))
+    traces = list(simulate(uniform_fspn(net), rng.randint(1, 12),
+                           seed=rng.randrange(2**32), max_firings=60).traces)
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(traces))
+        traces[i] = Trace(traces[i].trace_id, traces[i].events[:rng.randint(0, 9)])
+    return net, replay_log(net, EventLog(tuple(traces)))
