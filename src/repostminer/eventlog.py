@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -192,7 +192,12 @@ def parse_log(source: IO[str] | str | Path,
         i_bot = positions[schema.bot_score] if schema.bot_score is not None else None
         width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
 
-        by_trace: dict[str, list[tuple[int, str, float | None]]] = {}
+        # Every valid row is held until the caps can be applied, so each trace
+        # keeps one flat [timestamp, account, score, ...] list, and each
+        # distinct account and score cell is stored as one shared object.
+        by_trace: dict[str, list[int | str | float | None]] = {}
+        accounts: dict[str, str] = {}
+        scores: dict[str, float] = {}  # valid score cells only
         total = 0
         rejected = 0
         for lineno, row in enumerate(reader, start=2):
@@ -210,24 +215,31 @@ def parse_log(source: IO[str] | str | Path,
                     raise ValueError("empty activity")
                 timestamp = parse_timestamp(row[i_ts])
                 bot_score: float | None = None
-                if i_bot is not None and row[i_bot].strip():
-                    bot_score = float(row[i_bot])
-                    if not 0.0 <= bot_score <= 1.0:
-                        raise ValueError(f"bot score {bot_score} outside [0, 1]")
+                if i_bot is not None:
+                    cell = row[i_bot]
+                    bot_score = scores.get(cell)
+                    if bot_score is None and cell.strip():
+                        bot_score = float(cell)
+                        if not 0.0 <= bot_score <= 1.0:
+                            raise ValueError(f"bot score {bot_score} outside [0, 1]")
+                        scores[cell] = bot_score
             except (ValueError, OverflowError) as exc:
                 rejected += 1
                 logger.warning("line %d: rejected row (%s)", lineno, exc)
                 continue
-            by_trace.setdefault(trace_id, []).append((timestamp, activity, bot_score))
+            flat = by_trace.get(trace_id)
+            if flat is None:
+                flat = by_trace[trace_id] = []
+            flat += (timestamp, accounts.setdefault(activity, activity), bot_score)
 
     if rejected:
         logger.warning("rejected %d of %d rows", rejected, total)
 
     traces = []
-    for trace_id, rows in _earliest(list(by_trace.items()),
-                                    lambda group: min(group[1], key=itemgetter(0))[0],
-                                    max_traces):
-        rows.sort(key=itemgetter(0))  # stable: ties keep file order
+    for trace_id, flat in _earliest(list(by_trace.items()),
+                                    lambda group: min(group[1][::3]), max_traces):
+        rows = sorted(zip(flat[::3], flat[1::3], flat[2::3]),
+                      key=itemgetter(0))  # stable: ties keep file order
         traces.append(Trace(trace_id, tuple(
             Event(trace_id, activity, timestamp, bot_score)
             for timestamp, activity, bot_score in rows[:max_events])))

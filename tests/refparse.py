@@ -1,0 +1,68 @@
+"""Reference parser for ``eventlog.parse_log``'s tests.
+
+It is the plain row loop: one ``(timestamp, account, score)`` tuple per
+valid row, no object shared between rows, and the earliest-N rule written
+out as a sort on (first timestamp, appearance).  The library keeps a compact
+store instead; both must give the same log and the same warnings.
+"""
+
+import csv
+import io
+import logging
+
+from repostminer.eventlog import Event, EventLog, LogSchema, Trace
+
+
+def reference_parse(text: str, schema: LogSchema, max_events=None, max_traces=None):
+    """(log, warnings) for the dump ``text``, whose timestamps are epoch
+    seconds; each warning is ``(logging.WARNING, message)`` as ``parse_log``
+    logs it."""
+    warnings = []
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=schema.delimiter)
+    positions = {name.strip(): i for i, name in enumerate(next(reader))}
+    i_trace = positions[schema.trace_id]
+    i_act = positions[schema.activity]
+    i_ts = positions[schema.timestamp]
+    i_bot = positions[schema.bot_score] if schema.bot_score is not None else None
+    width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
+
+    by_trace = {}
+    total = rejected = 0
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        total += 1
+        try:
+            if len(row) <= width:
+                raise ValueError(f"expected at least {width + 1} fields, got {len(row)}")
+            trace_id = row[i_trace].strip()
+            account = row[i_act].strip()
+            if not trace_id:
+                raise ValueError("empty trace id")
+            if not account:
+                raise ValueError("empty activity")
+            timestamp = int(float(row[i_ts]))
+            score = None
+            if i_bot is not None and row[i_bot].strip():
+                score = float(row[i_bot])
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"bot score {score} outside [0, 1]")
+        except (ValueError, OverflowError) as exc:
+            rejected += 1
+            warnings.append((logging.WARNING, f"line {lineno}: rejected row ({exc})"))
+            continue
+        if trace_id not in by_trace:
+            by_trace[trace_id] = []
+        by_trace[trace_id].append((timestamp, account, score))
+    if rejected:
+        warnings.append((logging.WARNING, f"rejected {rejected} of {total} rows"))
+
+    groups = list(by_trace.items())
+    ranked = sorted(range(len(groups)),
+                    key=lambda i: (min(ts for ts, _, _ in groups[i][1]), i))
+    traces = []
+    for i in sorted(ranked[:max_traces]):
+        trace_id, rows = groups[i]
+        rows = sorted(rows, key=lambda r: r[0])[:max_events]
+        traces.append(Trace(trace_id, tuple(Event(trace_id, a, ts, s) for ts, a, s in rows)))
+    return EventLog(tuple(traces)), warnings

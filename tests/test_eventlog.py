@@ -1,12 +1,14 @@
 import io
 import logging
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logutil import make_log
+from refparse import reference_parse
 from repostminer.eventlog import (
     Event,
     EventLog,
@@ -151,7 +153,7 @@ _bad_row = st.one_of(
 _cap = st.one_of(st.none(), st.integers(1, 4))
 
 
-def parse_capturing(text, *caps):
+def parse_capturing(text, *caps, schema=CAP_SCHEMA):
     """(log, warnings logged) of ``parse_log`` on ``text`` with ``caps``."""
     records = []
     handler = logging.Handler()
@@ -159,7 +161,7 @@ def parse_capturing(text, *caps):
     logger = logging.getLogger("repostminer.eventlog")
     logger.addHandler(handler)
     try:
-        log = parse_log(io.StringIO(text), CAP_SCHEMA, *caps)
+        log = parse_log(io.StringIO(text), schema, *caps)
     finally:
         logger.removeHandler(handler)
     return log, [(r.levelno, r.getMessage()) for r in records]
@@ -185,10 +187,69 @@ class TestCappedParse:
         assert [t.trace_id for t in capped] == [
             full.traces[i].trace_id for i in sorted(ranked)]
 
+    def test_peak_memory_per_row(self):
+        # A capped parse holds every valid row until it returns.  On this
+        # 20,000-row dump of 80 accounts the flat store, with accounts and
+        # scores shared, peaks at about 87 bytes a row; one tuple, account
+        # str and score float per row took about 213 (CPython 3.11).
+        rng = random.Random(7)
+        accounts = [f"h{i:04d}" for i in range(80)]
+        score = {a: rng.randint(0, 10_000) / 10_000 for a in accounts}
+        rows = []
+        for c in range(2000):
+            t = 1_700_000_000 + rng.randrange(90 * 86400)
+            for who in rng.sample(accounts, 10):
+                rows.append(f"d{c:05d},{who},{t},{score[who]}\n")
+                t += 1 + rng.randrange(900)
+        stream = io.StringIO("trace_id,activity,timestamp,bot\n" + "".join(rows))
+        tracemalloc.start()
+        try:
+            log = parse_log(stream, CAP_SCHEMA, max_traces=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.event_count() == 300
+        assert peak / len(rows) < 150
+
     @pytest.mark.parametrize("caps", [(0, None), (None, 0), (-1, 3)])
     def test_cap_below_one_rejected(self, caps):
         with pytest.raises(ValueError, match="must be >= 1"):
             parse_log(io.StringIO("trace_id,activity,timestamp\n"), EPOCH_SCHEMA, *caps)
+
+
+# Score cells: padded and repeated spellings of valid scores, each of which
+# the parser stores once, and invalid ones that must be rejected every time.
+_SCORE_CELLS = ["", " ", "0", "-0.0", "0.5", " 0.5", "0.50", "5e-1", "1",
+                "1.5", "nan", "x"]
+_oracle_row = st.one_of(
+    st.builds("{},{},{},{}".format,
+              st.sampled_from(CAP_TRACES + (" p1", "p2 ")),
+              # longer than one character, which CPython caches anyway
+              st.sampled_from(["ab", " ab", "ab ", "bc", " bc ", "cd"]),
+              st.integers(0, 4), st.sampled_from(_SCORE_CELLS)),
+    _bad_row)
+# each invalid score twice, padded accounts, spellings of 0.5, equal times
+_REPEATS = ["p0,ab,1,1.5", "p1, ab,0,nan", "p0,ab ,2,1.5", "p1,bc,0,nan",
+            "p0,bc,1,5e-1", "p2,ab,1, 0.5", "p2,cd,1,0.50"]
+
+
+class TestParseOracle:
+    """``parse_log``'s compact store against the one-tuple-per-row parser."""
+
+    @pytest.mark.parametrize("bot", ["bot", None])
+    @given(rows=st.lists(_oracle_row, max_size=40), max_events=_cap, max_traces=_cap)
+    @example(rows=_REPEATS, max_events=None, max_traces=None)
+    @example(rows=_REPEATS, max_events=1, max_traces=2)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, bot, rows, max_events, max_traces):
+        schema = LogSchema(bot_score=bot, timestamp_format="epoch")
+        text = "trace_id,activity,timestamp,bot\n" + "\n".join(rows) + "\n"
+        log, warnings = parse_capturing(text, max_events, max_traces, schema=schema)
+        assert (log, warnings) == reference_parse(text, schema, max_events, max_traces)
+        shared = {}
+        for trace in log:
+            for event in trace:
+                assert shared.setdefault(event.activity, event.activity) is event.activity
 
 
 class TestPreprocess:

@@ -23,7 +23,6 @@ from repostminer.stochastic import (
     _silent_path,
     _Stream,
     enrich,
-    enrich_from_replays,
     fspn_from_json,
     fspn_to_json,
     replay_log,
