@@ -67,6 +67,9 @@ class PipelineConfig:
             raise ValueError("max_events must be >= 1")
         if self.max_traces is not None and self.max_traces < 1:
             raise ValueError("max_traces must be >= 1")
+        if not self.bot_high > self.bot_low:
+            raise ValueError(f"bot_high ({self.bot_high}) must exceed "
+                             f"bot_low ({self.bot_low})")
 
     def schema(self) -> eventlog.LogSchema:
         return eventlog.LogSchema(
@@ -299,6 +302,7 @@ def _apply_schema(config: PipelineConfig, args: argparse.Namespace) -> None:
             setattr(config, fields_by_key[key], value)
     if args.delimiter is not None:
         config.delimiter = args.delimiter
+    config.schema()  # a bad timestamp format fails here, before any input is read
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:

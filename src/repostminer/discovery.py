@@ -4,7 +4,9 @@ Recursively partitions a noise-filtered directly-follows graph into exclusive
 choice, sequence, parallel and loop blocks, yielding a process tree that is
 then compiled into a free-choice workflow net.  When no partition applies the
 recursion falls through to a "flower" loop that admits any interleaving of
-the remaining activities.
+the remaining activities.  One undirected components routine forms the
+blocks of every cut; the sequence cut first orders the DFG's strongly
+connected components by reachability.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ def filter_dfg(dfg: Dfg, threshold: float) -> Dfg:
     return Dfg(edges, keep(dfg.start_counts), keep(dfg.end_counts))
 
 
-def _undirected_components(nodes: list[str],
-                           adjacency: dict[str, set[str]]) -> list[frozenset[str]]:
-    seen: set[str] = set()
+def _undirected_components(nodes: list[Node],
+                           adjacency: dict[Node, set[Node]]) -> list[frozenset[Node]]:
+    seen: set[Node] = set()
     components = []
     for start in nodes:
         if start in seen:
@@ -143,10 +145,21 @@ def _undirected_components(nodes: list[str],
     return sorted(components, key=min)
 
 
+def _linked_components(dfg: Dfg, nodes: set[str]) -> list[frozenset[str]]:
+    """Components of ``nodes`` joined by a DFG edge in either direction."""
+    adjacency: dict[str, set[str]] = {a: set() for a in nodes}
+    for a, b in dfg.edge_counts:
+        if a in nodes and b in nodes and a != b:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    return _undirected_components(sorted(nodes), adjacency)
+
+
 def strongly_connected(nodes: Iterable[Node],
                        succ: Mapping[Node, Iterable[Node]]) -> list[frozenset[Node]]:
-    """Iterative Tarjan; components returned ordered by their least member.
-    A node missing from ``succ`` has no successors."""
+    """Iterative Tarjan; components returned in the order Tarjan closes
+    them, so each comes after every component it reaches.  A node missing
+    from ``succ`` has no successors."""
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     on_stack: set[Node] = set()
@@ -191,16 +204,11 @@ def strongly_connected(nodes: Iterable[Node],
                     if member == node:
                         break
                 components.append(frozenset(comp))
-    return sorted(components, key=min)
+    return components
 
 
 def _xor_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
-    adjacency: dict[str, set[str]] = {a: set() for a in alphabet}
-    for a, b in dfg.edge_counts:
-        if a in alphabet and b in alphabet and a != b:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    components = _undirected_components(sorted(alphabet), adjacency)
+    components = _linked_components(dfg, alphabet)
     if len(components) < 2:
         return None
     return Cut(XOR, tuple(components))
@@ -208,66 +216,40 @@ def _xor_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
 
 def _sequence_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
     succ: dict[str, list[str]] = {a: [] for a in alphabet}
-    for a, b in sorted(dfg.edge_counts):
+    for a, b in dfg.edge_counts:
         if a in alphabet and b in alphabet and a != b:
             succ[a].append(b)
     sccs = strongly_connected(sorted(alphabet), succ)
     if len(sccs) < 2:
         return None
 
+    # Tarjan closes a component after every component it reaches, so one
+    # pass in that order builds each component's reach set.
     comp_of = {a: i for i, comp in enumerate(sccs) for a in comp}
-    comp_succ: dict[int, set[int]] = {i: set() for i in range(len(sccs))}
-    for a in sorted(alphabet):
-        for b in succ[a]:
-            if comp_of[a] != comp_of[b]:
-                comp_succ[comp_of[a]].add(comp_of[b])
-
-    reach: dict[int, set[int]] = {}
-    for i in sorted(comp_succ, key=lambda c: min(sccs[c])):
-        seen: set[int] = set()
-        stack = list(comp_succ[i])
-        while stack:
-            j = stack.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            stack.extend(comp_succ[j] - seen)
-        reach[i] = seen
-
-    # Pairwise unreachable components cannot be ordered: merge them.
-    parent = list(range(len(sccs)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(sccs)):
-        for j in range(i + 1, len(sccs)):
-            if j not in reach[i] and i not in reach[j]:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, set[str]] = {}
+    reach: list[set[int]] = []
     for i, comp in enumerate(sccs):
-        groups.setdefault(find(i), set()).update(comp)
+        reached: set[int] = set()
+        for j in {comp_of[b] for a in comp for b in succ[a]} - {i}:
+            reached.add(j)
+            reached |= reach[j]
+        reach.append(reached)
+
+    # Pairwise unreachable components cannot be ordered: merge them.  The
+    # merged blocks are totally ordered (Gallai 1967), every edge between
+    # two of them runs forward, and the first reaches every other block.
+    indices = list(range(len(sccs)))
+    unordered = {i: {j for j in indices
+                     if j != i and j not in reach[i] and i not in reach[j]}
+                 for i in indices}
+    groups = _undirected_components(indices, unordered)
     if len(groups) < 2:
         return None
-
-    # Between merged groups exactly one reach direction survives, so sorting
-    # by how many other groups each one reaches yields the unique order.
-    def reached_groups(root: int) -> int:
-        members = [i for i in range(len(sccs)) if find(i) == root]
-        hit = {find(j) for i in members for j in reach[i]} - {root}
-        return len(hit)
-
-    ordered = sorted(groups, key=lambda r: (-reached_groups(r), min(groups[r])))
-    position = {a: rank for rank, r in enumerate(ordered) for a in groups[r]}
-    for a in alphabet:
-        for b in succ[a]:
-            if position[a] > position[b]:
-                return None  # a backward edge survived: not a sequence
-    return Cut(SEQ, tuple(frozenset(groups[r]) for r in ordered))
+    group_of = {i: g for g, group in enumerate(groups) for i in group}
+    reached_groups = [len({group_of[j] for i in group for j in reach[i]} - {g})
+                      for g, group in enumerate(groups)]
+    ordered = sorted(range(len(groups)), key=lambda g: -reached_groups[g])
+    return Cut(SEQ, tuple(frozenset().union(*(sccs[i] for i in groups[g]))
+                          for g in ordered))
 
 
 def _parallel_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
@@ -296,16 +278,8 @@ def _loop_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
     boundary = starts | ends
     if not boundary or boundary == alphabet:
         return None
-    interior = alphabet - boundary
-    adjacency: dict[str, set[str]] = {a: set() for a in interior}
-    for a, b in dfg.edge_counts:
-        if a in interior and b in interior and a != b:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    candidates = _undirected_components(sorted(interior), adjacency)
-
     redos: list[frozenset[str]] = []
-    for comp in candidates:
+    for comp in _linked_components(dfg, alphabet - boundary):
         valid = True
         for a, b in dfg.edge_counts:
             if a not in alphabet or b not in alphabet:
@@ -375,8 +349,6 @@ def _split_loop(seqs: list[Sequence], cut: Cut) -> list[list[Sequence]]:
 
 
 def _discover(seqs: list[Sequence], threshold: float) -> ProcessTree:
-    if not seqs:
-        return tau()
     nonempty = [s for s in seqs if s]
     if not nonempty:
         return tau()
@@ -504,30 +476,22 @@ def reduce_net(net: PetriNet) -> PetriNet:
     """
     pre = {n: list(net.preset(n)) for n in net.places + net.transitions}
     post = {n: list(net.postset(n)) for n in net.places + net.transitions}
-    alive_places = set(net.places)
-    alive_transitions = set(net.transitions)
+    alive = set(net.places + net.transitions)
     marked = {p for p, n in net.initial_marking.items() if n > 0}
 
-    def drop_place(p: str) -> None:
-        for s in pre[p]:
-            post[s].remove(p)
-        for d in post[p]:
-            pre[d].remove(p)
-        alive_places.discard(p)
-
-    def drop_transition(t: str) -> None:
-        for s in pre[t]:
-            post[s].remove(t)
-        for d in post[t]:
-            pre[d].remove(t)
-        alive_transitions.discard(t)
+    def drop(node: str) -> None:
+        for s in pre[node]:
+            post[s].remove(node)
+        for d in post[node]:
+            pre[d].remove(node)
+        alive.discard(node)
 
     changed = True
     while changed:
         changed = False
 
         for t in net.transitions:
-            if t not in alive_transitions or net.labels[t] is not None:
+            if t not in alive or net.labels[t] is not None:
                 continue
             if len(pre[t]) != 1:
                 continue
@@ -538,27 +502,27 @@ def reduce_net(net: PetriNet) -> PetriNet:
             if upstream == t or set(post[t]) & set(post[upstream]):
                 continue  # self-chain, or fusing would duplicate an arc
             downstream = list(post[t])
-            drop_transition(t)
-            drop_place(p)
+            drop(t)
+            drop(p)
             for q in downstream:
                 post[upstream].append(q)
                 pre[q].append(upstream)
             changed = True
 
         for p in net.places:
-            if p in alive_places and p not in marked and not post[p]:
-                drop_place(p)
+            if p in alive and p not in marked and not post[p]:
+                drop(p)
                 changed = True
 
         for t in net.transitions:
-            if t in alive_transitions and net.labels[t] is None and not post[t]:
-                drop_transition(t)
+            if t in alive and net.labels[t] is None and not post[t]:
+                drop(t)
                 changed = True
 
-    places = tuple(p for p in net.places if p in alive_places)
-    transitions = tuple(t for t in net.transitions if t in alive_transitions)
+    places = tuple(p for p in net.places if p in alive)
+    transitions = tuple(t for t in net.transitions if t in alive)
     arcs = tuple((node, dst) for node in places + transitions
                  for dst in post[node])
     labels = {t: net.labels[t] for t in transitions}
-    marking = {p: n for p, n in net.initial_marking.items() if p in alive_places}
+    marking = {p: n for p, n in net.initial_marking.items() if p in alive}
     return PetriNet(places, transitions, arcs, labels, marking)

@@ -372,14 +372,22 @@ class TestFailures:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{command}: error in stage load: ")
 
-    @pytest.mark.parametrize("command", ["discover", "analyze"])
-    def test_max_traces_zero_fails_before_reading(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, flags", [
+        pytest.param("discover", ["--max-traces", "0"], id="discover"),
+        pytest.param("analyze", ["--max-traces", "0"], id="analyze"),
+        pytest.param("discover", ["--schema", "format=bogus"], id="discover-format"),
+        pytest.param("analyze", ["--schema", "format=bogus"], id="analyze-format"),
+        pytest.param("discover", ["--split-bot-scores", "--bot-high", "0.1",
+                                  "--bot-low", "0.9"], id="discover-bot-bands"),
+    ])
+    def test_max_traces_zero_fails_before_reading(self, tmp_path, capsys, command,
+                                                  flags):
         missing = str(tmp_path / "missing")  # never opened
         argv = {
             "discover": ["discover", "--input", missing, "--out", missing],
             "analyze": ["analyze", "--net", missing, "--input", missing,
                         "--out", missing],
-        }[command] + ["--max-traces", "0"]
+        }[command] + flags
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1

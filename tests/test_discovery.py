@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import refcut
 from logutil import make_log
 from repostminer.discovery import (
     Cut,
     ProcessTree,
+    _sequence_cut,
     activity,
     discover_tree,
     filter_dfg,
@@ -81,6 +85,61 @@ class TestFindCut:
         # B never starts a trace, so neither parallel nor loop applies.
         dfg = build_dfg(make_log([("A", "B", "A"), ("A", "B")]))
         assert find_cut(dfg, {"A", "B"}) is None
+
+    def test_diamond_merges_its_unordered_middle(self):
+        dfg = Dfg({("A", "B"): 1, ("A", "C"): 1, ("B", "D"): 1, ("C", "D"): 1},
+                  {"A": 2}, {"D": 2})
+        cut = find_cut(dfg, {"A", "B", "C", "D"})
+        assert cut == Cut("seq", (frozenset({"A"}), frozenset({"B", "C"}),
+                                  frozenset({"D"})))
+
+    def test_activity_without_edges_merges_every_block(self):
+        # E neither reaches nor is reached by any chain member
+        dfg = Dfg({("A", "B"): 1, ("B", "C"): 1}, {"A": 1, "E": 1}, {"C": 1, "E": 1})
+        assert _sequence_cut(dfg, {"A", "B", "C", "E"}) is None
+        assert find_cut(dfg, {"A", "B", "C", "E"}).kind == "xor"
+
+    def test_long_chain_gives_one_block_per_account_in_chain_order(self):
+        # names out of sorted order, so only the edges give the order
+        chain = [f"u{i * 7919 % 1000:03d}" for i in range(300)]
+        dfg = Dfg({(a, b): 1 for a, b in zip(chain, chain[1:])},
+                  {chain[0]: 1}, {chain[-1]: 1})
+        cut = find_cut(dfg, set(chain))
+        assert cut == Cut("seq", tuple(frozenset({a}) for a in chain))
+
+
+@st.composite
+def dfgs(draw):
+    """A random DFG and its alphabet of 2 to 8 activities.  Each pair of
+    activities has no edge, an edge along a hidden order, one against it,
+    or both; a few more edges, and the start and end counts, may also name
+    activities outside the alphabet."""
+    order = draw(st.permutations("ABCDEFGH"))[:draw(st.integers(2, 8))]
+    pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]]
+    kinds = draw(st.lists(st.integers(0, 7), min_size=len(pairs), max_size=len(pairs)))
+    edges = {}
+    for (a, b), kind in zip(pairs, kinds):
+        if kind >= 3:
+            edges[(a, b)] = kind
+        if kind in (0, 7):
+            edges[(b, a)] = 1
+    names = st.sampled_from(order + ["X", "Y"])
+    counts = st.integers(1, 5)
+    edges.update(draw(st.dictionaries(st.tuples(names, names), counts, max_size=4)))
+    starts = draw(st.dictionaries(names, counts, max_size=4))
+    ends = draw(st.dictionaries(names, counts, max_size=4))
+    return Dfg(edges, starts, ends), set(order)
+
+
+class TestSequenceCutReference:
+    @settings(max_examples=300, deadline=None)
+    @given(dfgs())
+    def test_cut_equals_the_reference(self, case):
+        dfg, alphabet = case
+        expected = refcut.sequence_cut(dfg, alphabet)
+        assert expected != refcut.BACKWARD_EDGE
+        assert _sequence_cut(dfg, alphabet) == expected
+        assert find_cut(dfg, alphabet) == refcut.find_cut(dfg, alphabet)
 
 
 class TestDiscover:
