@@ -54,6 +54,14 @@ def diameter(net: PetriNet) -> int:
     return best
 
 
+def check_log_base(log_base: float | None) -> None:
+    """Raise ``ValueError`` unless ``log_base`` is ``None`` or a finite
+    positive number other than 1."""
+    if log_base is not None and not (0 < log_base < math.inf and log_base != 1):
+        raise ValueError(f"entropy log base must be finite, positive and not 1, "
+                         f"got {log_base}")
+
+
 def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
                    log_base: float | None = None) -> float:
     """Kolmogorov-Sinai entropy of the replay chain over markings, in one pass.
@@ -67,6 +75,7 @@ def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
     over the moves counted between markings.  Natural logarithm by default;
     pass ``log_base`` to rescale.  No reachability graph or matrix is built.
     """
+    check_log_base(log_base)
     conforming = [r for r in replays if r.conforming]
     if not conforming:
         raise ChainConstructionError("no conforming replays to estimate the entropy from")

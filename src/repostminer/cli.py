@@ -70,6 +70,7 @@ class PipelineConfig:
         if not self.bot_high > self.bot_low:
             raise ValueError(f"bot_high ({self.bot_high}) must exceed "
                              f"bot_low ({self.bot_low})")
+        analysis.check_log_base(self.entropy_log_base)
 
     def schema(self) -> eventlog.LogSchema:
         return eventlog.LogSchema(
@@ -341,7 +342,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     with _stage("config"):
-        config = PipelineConfig(max_events=args.max_events, max_traces=args.max_traces)
+        config = PipelineConfig(max_events=args.max_events, max_traces=args.max_traces,
+                                entropy_log_base=args.entropy_log_base)
         _apply_schema(config, args)
     with _stage("load"):
         net = petri.net_from_json(Path(args.net).read_text())
@@ -349,7 +351,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     with _stage("replay"):
         replays = stochastic.replay_log(net, log)
     with _stage("analyze"):
-        report, files, _ = measure(net, replays, args.entropy_log_base, {
+        report, files, _ = measure(net, replays, config.entropy_log_base, {
             "log": Path(args.input).stem, "recomputed_from": args.net})
     with _stage("write"):
         _write_run(Path(args.out), files)

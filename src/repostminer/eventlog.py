@@ -112,6 +112,8 @@ class LogSchema:
     def __post_init__(self) -> None:
         if self.timestamp_format not in ("iso8601", "epoch"):
             raise SchemaError(f"unknown timestamp format {self.timestamp_format!r}")
+        if len(self.delimiter) != 1:
+            raise SchemaError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 @dataclass(frozen=True)

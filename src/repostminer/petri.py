@@ -262,10 +262,12 @@ class Kernel:
         ``1/scale`` firings, ``scale`` being the product of the silent
         transitions' input counts, so comparisons are exact.
 
-        The certificate is :func:`is_block_structured`: such a net has a
-        process tree's block structure, so it is sound and safe, and from
-        each of its reachable markings the distance is the fewest silent
-        firings to a dead marking.  On any other net, or where a cost would not divide
+        The certificate is :func:`is_block_structured`: three classical
+        reduction rules (twins, series fusion and self-loop elimination;
+        Murata, Proc. IEEE 1989) reduce the net to its one marked place,
+        which they do on every process tree's net.  From each reachable
+        marking of such a net the distance is the fewest silent firings to
+        a dead marking.  On any other net, or where a cost would not divide
         evenly, this returns ``None``.
         """
         try:
@@ -307,114 +309,67 @@ def _completion_distance(kernel: Kernel) -> Completion | None:
 
 
 def is_block_structured(kernel: Kernel) -> bool:
-    """True iff the process-tree block rules reduce the net to a single
-    transition from its one marked place, holding one token, to a place
-    without outputs.
+    """True iff three classical reduction rules (Murata, "Petri nets:
+    properties, analysis and applications", Proc. IEEE 1989) leave only the
+    net's one marked place, holding one token.
 
-    Each rule undoes one operator of ``discovery.tree_to_net`` on blocks
-    already reduced to an atom, a transition with one input and one other
-    output place: choice (atoms with the same input and output place
-    merge), sequence (two atoms linked by an unmarked place that only they
-    touch fuse), parallel (a split whose output places each lead through
-    one atom to a common join become one atom) and loop (enter, body, redo
-    and leave around two unmarked places become one atom).  A net that
-    reduces has the block structure of a process tree's net, whatever its
-    labels, and is therefore sound and safe.
+    The rules run to a fixed point in net order, on copies of the pre- and
+    postsets.  Twins: an unmarked node with inputs and outputs absorbs
+    every other unmarked node with the same inputs and outputs (parallel
+    places and transitions, so choices and parallel branches).  Series
+    fusion: an unmarked place from transition ``a`` to transition ``b``, or
+    a transition from place ``a`` to unmarked place ``b`` when ``a`` has no
+    other output, folds ``b`` into ``a`` when ``b`` has no other input and
+    shares no output with ``a``.  Self-loop: a transition whose only input
+    and output is one place goes if that place has another output.  Every
+    ``discovery.tree_to_net`` net reduces, whatever its labels.
     """
     pre = {n: set(v) for n, v in kernel.pre.items()}
     post = {n: set(v) for n, v in kernel.post.items()}
     marked = kernel.marked
 
-    def only(nodes: set[str]) -> str | None:
-        return next(iter(nodes)) if len(nodes) == 1 else None
+    def drop(n: str) -> None:
+        for m in pre.pop(n):
+            post[m].discard(n)
+        for m in post.pop(n):
+            pre[m].discard(n)
 
-    def atom(t: str) -> bool:
-        return len(pre[t]) == len(post[t]) == 1 and pre[t] != post[t]
-
-    def drop(*nodes: str) -> None:
-        for n in nodes:
-            for m in pre.pop(n):
-                post[m].discard(n)
-            for m in post.pop(n):
-                pre[m].discard(n)
-
-    def rewire(t: str, out: str) -> None:
-        """Make ``out`` the only output place of ``t``."""
-        for p in post[t]:
-            pre[p].discard(t)
-        post[t] = {out}
-        pre[out].add(t)
-
-    def choice(t: str) -> bool:
-        twins = [u for u in post[only(pre[t])]
-                 if u != t and atom(u) and post[u] == post[t]]
-        drop(*twins)
-        return bool(twins)
-
-    def sequence(t: str) -> bool:
-        p = only(post[t])
-        u = only(post[p])
-        if (p in marked or pre[p] != {t} or u is None or u == t or not atom(u)
-                or post[u] == pre[t]):
+    def reduce(n: str) -> bool:
+        """Apply the first rule that fits node ``n``; True if one did."""
+        ins, outs = pre[n], post[n]
+        if n not in marked and ins and outs:
+            twins = [m for m in post[next(iter(ins))]
+                     if m != n and m not in marked and (pre[m], post[m]) == (ins, outs)]
+            for m in twins:
+                drop(m)
+            if twins:
+                return True
+        if len(ins) != 1 or len(outs) != 1:
             return False
-        out = only(post[u])
-        drop(p, u)
-        rewire(t, out)
-        return True
-
-    def parallel(s: str) -> bool:
-        branches = []
-        for e in post[s]:
-            u = only(post[e])
-            f = None if u is None or not atom(u) else only(post[u])
-            if e in marked or pre[e] != {s} or f is None or f in marked or pre[f] != {u}:
+        (a,), (b,) = ins, outs
+        is_transition = n in kernel.needs
+        if a == b:  # a self-loop
+            if not is_transition or len(post[a]) < 2:
                 return False
-            branches += [e, u, f]
-        j = only(post[branches[2]])
-        if (j is None or any(post[f] != {j} for f in branches[2::3])
-                or pre[j] != set(branches[2::3]) or only(post[j]) is None
-                or post[j] == pre[s]):
+            drop(n)
+            return True
+        if (n in marked or b in marked or pre[b] != {n} or post[a] & post[b]
+                or (is_transition and post[a] != {n})):
             return False
-        out = only(post[j])
-        drop(*branches, j)
-        rewire(s, out)
+        post[a] |= post[b]  # series fusion: b folds into a
+        for m in post[b]:
+            pre[m].add(a)
+        drop(n)
+        drop(b)
         return True
 
-    def loop(enter: str) -> bool:
-        h = only(post[enter])
-        body = only(post[h])
-        if h in marked or len(pre[h]) != 2 or body is None or not atom(body):
-            return False
-        tail = only(post[body])
-        redo = only(pre[h] - {enter})
-        if tail in marked or pre[tail] != {body} or redo not in post[tail] or len(post[tail]) != 2:
-            return False
-        leave = only(post[tail] - {redo})
-        if not (atom(redo) and atom(leave) and post[redo] == {h}):
-            return False
-        out = only(post[leave])
-        if len({enter, body, redo, leave}) < 4 or out in (h, tail) or {out} == pre[enter]:
-            return False
-        drop(h, tail, body, redo, leave)
-        rewire(enter, out)
-        return True
-
-    transitions = tuple(kernel.pure_in)  # all of them, in net order
     changed = True
     while changed:
         changed = False
-        for t in transitions:
-            if t not in pre:
-                continue
-            if atom(t):
-                changed |= choice(t) or sequence(t) or loop(t)
-            elif len(pre[t]) == 1 and len(post[t]) > 1:
-                changed |= parallel(t)
-    left = [t for t in transitions if t in pre]
-    if len(left) != 1 or len(pre) != 3 or not atom(left[0]):
-        return False
-    src, snk = only(pre[left[0]]), only(post[left[0]])
-    return marked == {src: 1} and not post[snk]
+        for n in kernel.pre:  # every node, in net order
+            if n in pre:
+                changed |= reduce(n)
+    return len(pre) == 1 and marked == dict.fromkeys(pre, 1)
 
 
 def enabled(net: PetriNet, marking: Marking) -> list[str]:

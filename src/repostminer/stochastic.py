@@ -219,8 +219,8 @@ def replay_trace(net: PetriNet, trace: Trace, *,
     marking, which attributes skipped branches to their silent transitions.
     On a block-structured net, which every discovered net is, completion
     descends the net's exact completion distance, one scan of its silent
-    transitions per firing; elsewhere it is a breadth-first search.  If some event cannot be
-    enabled the result is nonconforming at that index.
+    transitions per firing; elsewhere it is a breadth-first search.  If
+    some event cannot be enabled the result is nonconforming at that index.
 
     ``memo`` caches silent-path searches by (marking, account), with ``None``
     for completion.  A search is a pure function of those and the net, so a

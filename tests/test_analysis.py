@@ -123,6 +123,12 @@ class TestMarkovChain:
         with pytest.raises(ChainConstructionError):
             replay_entropy(broadcast_net(), [])
 
+    @pytest.mark.parametrize("log_base", [1, 0, -2, math.inf, math.nan])
+    def test_bad_log_base_rejected(self, log_base):
+        net = broadcast_net()
+        with pytest.raises(ValueError, match="log base"):
+            replay_entropy(net, replays_of(net, [("A", "B", "C")]), log_base)
+
     def test_every_trace_closed(self):
         # (A, B) ends where the (A, B, C) traces pass through: its
         # termination must still count, splitting that state 3 : 2.

@@ -379,6 +379,10 @@ class TestFailures:
         pytest.param("analyze", ["--schema", "format=bogus"], id="analyze-format"),
         pytest.param("discover", ["--split-bot-scores", "--bot-high", "0.1",
                                   "--bot-low", "0.9"], id="discover-bot-bands"),
+        pytest.param("discover", ["--entropy-log-base", "1"], id="discover-log-base"),
+        pytest.param("analyze", ["--entropy-log-base", "-2"], id="analyze-log-base"),
+        pytest.param("discover", ["--delimiter", ";;"], id="discover-delimiter"),
+        pytest.param("analyze", ["--delimiter", ""], id="analyze-delimiter"),
     ])
     def test_max_traces_zero_fails_before_reading(self, tmp_path, capsys, command,
                                                   flags):

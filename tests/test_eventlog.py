@@ -56,6 +56,11 @@ class TestParse:
         assert log.event_count() == 2
         assert any("line 3" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(SchemaError, match="delimiter"):
+            LogSchema(delimiter=delimiter)
+
     def test_missing_column_is_fatal(self):
         with pytest.raises(SchemaError, match="timestamp"):
             parse("trace_id,activity\n1,a\n")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from logutil import make_log
 from repostminer.discovery import activity, discover_tree, par, seq, tree_to_net
 from repostminer.eventlog import Event, EventLog, Trace
-from repostminer.petri import PetriNet
+from repostminer.petri import PetriNet, StateCapError, is_block_structured, reachability_graph
 from repostminer.reference_nets import broadcast_net, sequential_net, threshold_fspn
 from repostminer.stochastic import (
     EmpiricalDelay,
@@ -30,7 +30,7 @@ from repostminer.stochastic import (
     simulate,
     waiting_time_stats,
 )
-from treeutil import process_trees, uniform_fspn
+from treeutil import process_trees, random_tree, uniform_fspn
 
 
 def timed_trace(pairs, trace_id="x"):
@@ -275,6 +275,93 @@ class TestSilentSearch:
             assert final == {sink: 1}  # completion reached the final marking
         assert len(replays) == 150
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
+
+
+def net_of(arcs, marked="s", labeled=()):
+    """A net from its arcs: names starting with ``t`` are transitions, silent
+    unless ``labeled`` names them; ``marked`` holds one token."""
+    nodes = list(dict.fromkeys(n for arc in arcs for n in arc))
+    transitions = tuple(n for n in nodes if n.startswith("t"))
+    return PetriNet(tuple(n for n in nodes if n not in transitions), transitions,
+                    tuple(arcs), {t: t if t in labeled else None for t in transitions},
+                    {marked: 1})
+
+
+def mutant(net, rng):
+    """``net`` after one or two random edits: an arc dropped or added, a
+    label flipped, a token added, or a silent transition or a place added
+    with one input and one output arc."""
+    places, transitions = list(net.places), list(net.transitions)
+    arcs, labels, marking = list(net.arcs), dict(net.labels), dict(net.initial_marking)
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            arcs.pop(rng.randrange(len(arcs)))
+        elif kind == 1:
+            p, t = rng.choice(places), rng.choice(transitions)
+            arc = rng.choice([(p, t), (t, p)])
+            if arc not in arcs:
+                arcs.append(arc)
+        elif kind == 2:
+            t = rng.choice(transitions)
+            labels[t] = "x" if labels[t] is None else None
+        elif kind == 3:
+            p = rng.choice(places)
+            marking[p] = marking.get(p, 0) + 1
+        elif kind == 4:
+            t = f"new_t{len(transitions)}"
+            transitions.append(t)
+            labels[t] = None
+            arcs += [(rng.choice(places), t), (t, rng.choice(places))]
+        else:
+            p = f"new_p{len(places)}"
+            places.append(p)
+            arcs += [(rng.choice(transitions), p), (p, rng.choice(transitions))]
+    return PetriNet(tuple(places), tuple(transitions), tuple(arcs), labels, marking)
+
+
+class TestBlockStructure:
+    @given(process_trees("abcdef", width=6))
+    @settings(deadline=None)
+    def test_every_tree_net_is_certified(self, tree):
+        assert is_block_structured(tree_to_net(tree).kernel)
+
+    @pytest.mark.parametrize("net", [
+        net_of([("s", "ta"), ("ta", "a"), ("s", "tb"), ("tb", "b"),
+                ("a", "tjoin"), ("b", "tjoin"), ("tjoin", "end")]),
+        broadcast_net(),
+        threshold_fspn().net,
+        net_of([("s", "ta"), ("ta", "p"), ("p", "tb"), ("tb", "s")], labeled=("ta",)),
+    ], ids=["silent-choice-before-join", "broadcast", "threshold", "marked-cycle"])
+    def test_rejects(self, net):
+        assert not is_block_structured(net.kernel)
+
+    def test_place_with_two_self_loops_and_an_exit(self):
+        net = net_of([("s", "ta"), ("ta", "s"), ("s", "tb"), ("tb", "s"),
+                      ("s", "texit"), ("texit", "end")], labeled=("ta",))
+        assert is_block_structured(net.kernel)
+
+    def test_certified_mutants_complete_by_descent(self):
+        # Mutated tree nets: wherever the rules certify one, completion by
+        # descent equals the breadth-first reference from every reachable
+        # marking (graphs over 2,000 markings are skipped).
+        rng = random.Random(5)
+        certified = 0
+        for _ in range(3000):
+            net = mutant(tree_to_net(random_tree(rng)), rng)
+            kernel = net.kernel
+            if not is_block_structured(kernel):
+                continue
+            try:
+                states = reachability_graph(net, state_cap=2000).states
+            except StateCapError:
+                continue
+            certified += 1
+            for marking in states:
+                counts = marking.as_dict()
+                assert (_silent_path(kernel, counts, None)
+                        == reference_path(kernel, counts, None)), net
+        assert certified > 300
 
 
 class TestEnrich:
