@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,21 +37,21 @@ def density(net: PetriNet) -> float:
 
 
 def diameter(net: PetriNet) -> int:
-    """Longest shortest directed path, in edges, over reachable node pairs."""
+    """Longest shortest directed path, in edges, over reachable node pairs:
+    the number of rounds in which some node's reach bitset grows, when each
+    round ORs into it the last round's bitsets of its successors."""
     if not net.arcs:
         raise MeasureError("diameter needs at least one arc")
-    best = 0
-    for source in net.places + net.transitions:
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for nxt in net.postset(node):
-                if nxt not in dist:
-                    dist[nxt] = dist[node] + 1
-                    queue.append(nxt)
-        best = max(best, max(dist.values()))
-    return best
+    index = {node: i for i, node in enumerate(net.places + net.transitions)}
+    arcs = [(index[a], index[b]) for a, b in net.arcs]
+    reach, depth = [1 << i for i in range(len(index))], 0
+    while True:
+        grown = reach.copy()
+        for a, b in arcs:
+            grown[a] |= reach[b]
+        if grown == reach:
+            return depth
+        reach, depth = grown, depth + 1
 
 
 def check_log_base(log_base: float | None) -> None:

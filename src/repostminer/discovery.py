@@ -12,7 +12,7 @@ connected components by reachability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .eventlog import Dfg, EventLog, dfg_from_sequences
 from .petri import PetriNet
@@ -125,22 +125,23 @@ def filter_dfg(dfg: Dfg, threshold: float) -> Dfg:
     return Dfg(edges, keep(dfg.start_counts), keep(dfg.end_counts))
 
 
-def _undirected_components(nodes: list[Node],
-                           adjacency: dict[Node, set[Node]]) -> list[frozenset[Node]]:
-    seen: set[Node] = set()
+def _undirected_components(nodes: list[Node], linked: Callable[[Node, set[Node]], set[Node]]
+                           ) -> list[frozenset[Node]]:
+    """Components of a symmetric relation, ordered by least member; each node
+    is asked once for ``linked(node, left)``, its neighbours among the nodes
+    ``left`` unvisited, so a relation given by its complement is O(V + E)."""
+    left = set(nodes)
     components = []
     for start in nodes:
-        if start in seen:
+        if start not in left:
             continue
-        stack = [start]
-        comp = set()
+        left.discard(start)
+        comp, stack = [start], [start]
         while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(adjacency.get(node, ()) - comp)
-        seen |= comp
+            found = linked(stack.pop(), left)
+            left -= found
+            comp += found
+            stack += found
         components.append(frozenset(comp))
     return sorted(components, key=min)
 
@@ -152,7 +153,7 @@ def _linked_components(dfg: Dfg, nodes: set[str]) -> list[frozenset[str]]:
         if a in nodes and b in nodes and a != b:
             adjacency[a].add(b)
             adjacency[b].add(a)
-    return _undirected_components(sorted(nodes), adjacency)
+    return _undirected_components(sorted(nodes), lambda a, left: adjacency[a] & left)
 
 
 def strongly_connected(nodes: Iterable[Node],
@@ -237,11 +238,9 @@ def _sequence_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
     # Pairwise unreachable components cannot be ordered: merge them.  The
     # merged blocks are totally ordered (Gallai 1967), every edge between
     # two of them runs forward, and the first reaches every other block.
-    indices = list(range(len(sccs)))
-    unordered = {i: {j for j in indices
-                     if j != i and j not in reach[i] and i not in reach[j]}
-                 for i in indices}
-    groups = _undirected_components(indices, unordered)
+    groups = _undirected_components(
+        list(range(len(sccs))),
+        lambda i, left: {j for j in left if j not in reach[i] and i not in reach[j]})
     if len(groups) < 2:
         return None
     group_of = {i: g for g, group in enumerate(groups) for i in group}
@@ -253,22 +252,16 @@ def _sequence_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
 
 
 def _parallel_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
-    edges = {(a, b) for a, b in dfg.edge_counts if a in alphabet and b in alphabet}
-    adjacency: dict[str, set[str]] = {a: set() for a in alphabet}
-    items = sorted(alphabet)
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            if not ((a, b) in edges and (b, a) in edges):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    components = _undirected_components(items, adjacency)
-    if len(components) < 2:
-        return None
-    starts = set(dfg.start_counts) & alphabet
-    ends = set(dfg.end_counts) & alphabet
-    for comp in components:
-        if not (comp & starts) or not (comp & ends):
-            return None
+    # Blocks are the components of the pairs that are not two-way.
+    two_way: dict[str, set[str]] = {a: set() for a in alphabet}
+    for a, b in dfg.edge_counts:
+        if a in alphabet and b in alphabet and (b, a) in dfg.edge_counts:
+            two_way[a].add(b)
+    components = _undirected_components(sorted(alphabet),
+                                        lambda a, left: left - two_way[a])
+    if len(components) < 2 or any(comp.isdisjoint(dfg.start_counts)
+                                  or comp.isdisjoint(dfg.end_counts) for comp in components):
+        return None  # every block must hold a start and an end
     return Cut(PAR, tuple(components))
 
 

@@ -99,7 +99,7 @@ class LogSchema:
 
     ``timestamp_format`` is either ``"iso8601"`` or ``"epoch"`` (integer
     seconds).  ``bot_score`` is optional; when named, the column may be empty
-    on individual rows.
+    on individual rows.  ``delimiter`` is one character but no quote or line end.
     """
 
     trace_id: str = "trace_id"
@@ -112,8 +112,9 @@ class LogSchema:
     def __post_init__(self) -> None:
         if self.timestamp_format not in ("iso8601", "epoch"):
             raise SchemaError(f"unknown timestamp format {self.timestamp_format!r}")
-        if len(self.delimiter) != 1:
-            raise SchemaError(f"delimiter must be one character, got {self.delimiter!r}")
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise SchemaError(f"delimiter must be one character other than a quote "
+                              f"or line end, got {self.delimiter!r}")
 
 
 @dataclass(frozen=True)

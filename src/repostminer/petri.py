@@ -462,15 +462,19 @@ def tau_free_language(net: PetriNet, state_cap: int = 100_000) -> frozenset[tupl
     return visit(0)
 
 
-def net_to_json(net: PetriNet) -> str:
-    """Canonical JSON interchange form (stable across runs)."""
-    doc = {
+def net_to_doc(net: PetriNet) -> dict[str, object]:
+    """The JSON document of the net, which the stochastic net's extends."""
+    return {
         "places": list(net.places),
         "transitions": [{"id": t, "label": net.label(t)} for t in net.transitions],
         "arcs": [list(a) for a in net.arcs],
         "initial_marking": {p: int(n) for p, n in sorted(net.initial_marking.items())},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def net_to_json(net: PetriNet) -> str:
+    """Canonical JSON interchange form (stable across runs)."""
+    return json.dumps(net_to_doc(net), indent=2, sort_keys=True) + "\n"
 
 
 def net_from_json(text: str | IO[str]) -> PetriNet:

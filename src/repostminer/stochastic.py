@@ -22,7 +22,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from .eventlog import Event, EventLog, Trace
 from .petri import (Completion, Kernel, PetriNet, add_tokens, is_free_choice,
-                    net_from_json, net_to_json, remove_tokens)
+                    net_from_json, net_to_doc, remove_tokens)
 
 PROBABILITY_TOLERANCE = 1e-9
 
@@ -197,7 +197,10 @@ def _fire_timed(kernel: Kernel, tokens: dict[str, list[float]], t: str,
     propagate the consumed arrival times; labeled transitions stamp their
     outputs with the observed firing time.
     """
-    enabled_at = max([0.0] + [tokens[p][0] for p in kernel.pre[t]])
+    enabled_at = 0.0
+    for p in kernel.pre[t]:
+        if tokens[p][0] > enabled_at:
+            enabled_at = tokens[p][0]
     for p in kernel.pure_in[t]:
         heapq.heappop(tokens[p])
     out_time = enabled_at if fired_at is None else fired_at
@@ -275,18 +278,18 @@ def enrich_from_replays(net: PetriNet,
 
     ``Pr(p, t)`` is the share of tokens consumed from ``p`` that went to
     ``t``; places never visited by any conforming replay fall back to a
-    uniform split.  Nonconforming replays are ignored.
+    uniform split.  Nonconforming replays are ignored.  A firing of ``t``
+    takes one token from each input place, so ``p`` gave ``t`` its firings.
     """
     conforming = [r for r in replays if r.conforming]
     if not conforming:
         raise EnrichmentError("no conforming replay to enrich from")
 
-    consumed: Counter[tuple[str, str]] = Counter()
+    fired: Counter[str] = Counter()
     waits: dict[str, list[float]] = {}
     for result in conforming:
         for firing in result.firings:
-            for place in net.preset(firing.transition):
-                consumed[(place, firing.transition)] += 1
+            fired[firing.transition] += 1
             if firing.label is not None:
                 waits.setdefault(firing.transition, []).append(firing.wait)
 
@@ -295,10 +298,9 @@ def enrich_from_replays(net: PetriNet,
         outs = net.postset(place)
         if not outs:
             continue
-        total = sum(consumed[(place, t)] for t in outs)
+        total = sum(fired[t] for t in outs)
         for t in outs:
-            probabilities[(place, t)] = (
-                consumed[(place, t)] / total if total else 1.0 / len(outs))
+            probabilities[(place, t)] = fired[t] / total if total else 1.0 / len(outs)
 
     delays = {t: EmpiricalDelay(tuple(v)) for t, v in waits.items()}
     return StochasticPetriNet(net, probabilities, delays)
@@ -344,7 +346,7 @@ def waiting_time_stats(replays: Sequence[ReplayResult]) -> WaitingStats:
 
 def fspn_to_json(fspn: StochasticPetriNet) -> str:
     """Net JSON extended with arc probabilities and delay sample arrays."""
-    doc = json.loads(net_to_json(fspn.net))
+    doc = net_to_doc(fspn.net)
     doc["arc_probabilities"] = [
         {"place": p, "transition": t, "probability": prob}
         for (p, t), prob in sorted(fspn.arc_probabilities.items())

@@ -1,4 +1,4 @@
-"""The sequence cut as it stood before it read Tarjan's closing order.
+"""Earlier constructions of the sequence and parallel cuts, as references.
 
 ``discovery._sequence_cut`` now builds reach sets in one pass over the order
 in which Tarjan closes components and merges unordered components with the
@@ -8,13 +8,18 @@ union-find and ends with a scan for backward edges, as a reference for it.
 That scan cannot fire, since the blocks of a partial order's
 incomparability graph are totally ordered (Gallai 1967); it returns
 :data:`BACKWARD_EDGE` instead of ``None`` so that a test can tell if it did.
+
+``discovery._parallel_cut`` now finds the components of the complement of
+the two-way pairs without building it.  :func:`parallel_cut` keeps the
+earlier construction, which joins every pair of activities that is not
+two-way and takes the components of that all-pairs graph.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, TypeVar
 
-from repostminer.discovery import SEQ, Cut, _loop_cut, _parallel_cut, _xor_cut
+from repostminer.discovery import PAR, SEQ, Cut, _loop_cut, _xor_cut
 from repostminer.eventlog import Dfg
 
 Node = TypeVar("Node")
@@ -137,11 +142,52 @@ def sequence_cut(dfg: Dfg, alphabet: set[str]) -> Cut | str | None:
     return Cut(SEQ, tuple(frozenset(groups[r]) for r in ordered))
 
 
+def components(nodes: list[Node],
+               adjacency: Mapping[Node, set[Node]]) -> list[frozenset[Node]]:
+    """Components of an undirected graph by depth-first search, ordered by
+    least member."""
+    seen: set[Node] = set()
+    found = []
+    for start in nodes:
+        if start in seen:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            node = stack.pop()
+            if node not in comp:
+                comp.add(node)
+                stack.extend(adjacency[node] - comp)
+        seen |= comp
+        found.append(frozenset(comp))
+    return sorted(found, key=min)
+
+
+def parallel_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
+    edges = {(a, b) for a, b in dfg.edge_counts if a in alphabet and b in alphabet}
+    adjacency: dict[str, set[str]] = {a: set() for a in alphabet}
+    items = sorted(alphabet)
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            if not ((a, b) in edges and (b, a) in edges):
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    blocks = components(items, adjacency)
+    if len(blocks) < 2:
+        return None
+    starts = set(dfg.start_counts) & alphabet
+    ends = set(dfg.end_counts) & alphabet
+    for block in blocks:
+        if not (block & starts) or not (block & ends):
+            return None
+    return Cut(PAR, tuple(blocks))
+
+
 def find_cut(dfg, alphabet):
-    """``discovery.find_cut`` with this reference as its sequence cut."""
+    """``discovery.find_cut`` with these references as its sequence and
+    parallel cuts."""
     if len(alphabet) < 2:
         return None
-    for attempt in (_xor_cut, sequence_cut, _parallel_cut, _loop_cut):
+    for attempt in (_xor_cut, sequence_cut, parallel_cut, _loop_cut):
         cut = attempt(dfg, alphabet)
         if cut is not None:
             return cut

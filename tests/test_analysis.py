@@ -18,12 +18,14 @@ from repostminer.analysis import (
     ks_two_sample,
     replay_entropy,
 )
-from repostminer.discovery import ProcessTree, activity, par, seq, tree_to_net, xor
+from refgraph import bfs_diameter
+from repostminer.discovery import (ProcessTree, activity, loop, par, reduce_net, seq, tau,
+                                   tree_to_net, xor)
 from repostminer.eventlog import EventLog, Trace
 from repostminer.petri import PetriNet
 from repostminer.reference_nets import broadcast_net, sequential_net
 from repostminer.stochastic import replay_log, simulate
-from treeutil import process_trees, random_replays, uniform_fspn
+from treeutil import process_trees, random_replays, random_tree, uniform_fspn
 
 
 class TestStructuralMeasures:
@@ -74,6 +76,34 @@ class TestStructuralMeasures:
                        (("p", "t"), ("q", "u")),
                        {"t": "a", "u": "b"}, {})
         assert diameter(net) == 1
+
+    @pytest.mark.parametrize("kind, expected", [(loop, 5), (seq, 599)])
+    def test_300_account_nets(self, kind, expected):
+        # the flower is shallow; the sequence is the deepest net of its size
+        accounts = [activity(f"u{i:03d}") for i in range(300)]
+        tree = loop(tau(), *accounts) if kind is loop else seq(*accounts)
+        net = reduce_net(tree_to_net(tree))
+        assert diameter(net) == bfs_diameter(net) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_net_equals_reference(self, data):
+        places = [f"p{i}" for i in range(data.draw(st.integers(1, 6)))]
+        transitions = [f"t{i}" for i in range(data.draw(st.integers(1, 6)))]
+        arcs = data.draw(st.lists(st.sampled_from(
+            [(p, t) for p in places for t in transitions]
+            + [(t, p) for p in places for t in transitions]), min_size=1, unique=True))
+        net = PetriNet(tuple(places), tuple(transitions), tuple(arcs),
+                       {t: t for t in transitions}, {})
+        assert diameter(net) == bfs_diameter(net)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_tree_net_equals_reference(self, rng):
+        net = tree_to_net(random_tree(rng, width=4, depth=3))
+        reduced = reduce_net(net)  # may have no arcs left, and no diameter
+        for shown in (net, reduced) if reduced.arcs else (net,):
+            assert diameter(shown) == bfs_diameter(shown)
 
 
 def replays_of(net, seqs):

@@ -383,6 +383,9 @@ class TestFailures:
         pytest.param("analyze", ["--entropy-log-base", "-2"], id="analyze-log-base"),
         pytest.param("discover", ["--delimiter", ";;"], id="discover-delimiter"),
         pytest.param("analyze", ["--delimiter", ""], id="analyze-delimiter"),
+        pytest.param("discover", ["--delimiter", '"'], id="discover-quote-delimiter"),
+        pytest.param("analyze", ["--delimiter", "\n"], id="analyze-newline-delimiter"),
+        pytest.param("discover", ["--delimiter", "\r"], id="discover-return-delimiter"),
     ])
     def test_max_traces_zero_fails_before_reading(self, tmp_path, capsys, command,
                                                   flags):

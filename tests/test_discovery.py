@@ -9,6 +9,7 @@ from logutil import make_log
 from repostminer.discovery import (
     Cut,
     ProcessTree,
+    _parallel_cut,
     _sequence_cut,
     activity,
     discover_tree,
@@ -139,6 +140,47 @@ class TestSequenceCutReference:
         expected = refcut.sequence_cut(dfg, alphabet)
         assert expected != refcut.BACKWARD_EDGE
         assert _sequence_cut(dfg, alphabet) == expected
+        assert find_cut(dfg, alphabet) == refcut.find_cut(dfg, alphabet)
+
+
+@st.composite
+def parallel_dfgs(draw):
+    """A random DFG and its alphabet of 2 to 8 activities in up to 3 hidden
+    blocks.  A pair across blocks is two-way unless a rare draw drops one
+    direction; a pair within a block has no edge, one or both.  Self-loops
+    and a few more edges may be added, and the start and end counts may
+    name activities outside the alphabet or miss a block."""
+    order = draw(st.permutations("ABCDEFGH"))[:draw(st.integers(2, 8))]
+    block = dict(zip(order, draw(st.lists(st.integers(0, 2), min_size=len(order),
+                                          max_size=len(order)))))
+    edges = {}
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            kind = draw(st.integers(0, 9))
+            if block[a] != block[b]:
+                forward, backward = kind != 0, kind != 1
+            else:
+                forward, backward = kind in (2, 3, 4), kind in (4, 5, 6)
+            if forward:
+                edges[(a, b)] = 1
+            if backward:
+                edges[(b, a)] = 1
+    names = st.sampled_from(order + ["X", "Y"])
+    counts = st.integers(1, 5)
+    edges.update(draw(st.dictionaries(st.tuples(names, names), counts, max_size=4)))
+    edges.update({(a, a): 1 for a in draw(st.lists(names, max_size=3))})
+    starts, ends = (draw(st.dictionaries(names, counts, min_size=len(order) // 2,
+                                         max_size=len(order) + 2))
+                    for _ in range(2))
+    return Dfg(edges, starts, ends), set(order)
+
+
+class TestParallelCutReference:
+    @settings(max_examples=300, deadline=None)
+    @given(parallel_dfgs() | dfgs())
+    def test_cut_equals_the_reference(self, case):
+        dfg, alphabet = case
+        assert _parallel_cut(dfg, alphabet) == refcut.parallel_cut(dfg, alphabet)
         assert find_cut(dfg, alphabet) == refcut.find_cut(dfg, alphabet)
 
 

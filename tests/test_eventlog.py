@@ -61,6 +61,13 @@ class TestParse:
         with pytest.raises(SchemaError, match="delimiter"):
             LogSchema(delimiter=delimiter)
 
+    @pytest.mark.parametrize("delimiter", ['"', "\n", "\r"])
+    def test_delimiter_cannot_be_quote_or_line_end(self, tmp_path, delimiter):
+        path = tmp_path / "log.csv"
+        path.write_text("trace_id,activity,timestamp\n1,a,10\n")
+        with pytest.raises(SchemaError, match="delimiter"):
+            parse_log(path, LogSchema(delimiter=delimiter, timestamp_format="epoch"))
+
     def test_missing_column_is_fatal(self):
         with pytest.raises(SchemaError, match="timestamp"):
             parse("trace_id,activity\n1,a\n")
