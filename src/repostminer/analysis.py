@@ -73,36 +73,29 @@ def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
     normalised visit count (Kemeny & Snell, *Finite Markov Chains*): the
     entropy is ``sum n(s, s') * -log(n(s, s') / out(s)) / sum visits(s)``
     over the moves counted between markings.  Natural logarithm by default;
-    pass ``log_base`` to rescale.  No reachability graph or matrix is built.
+    pass ``log_base`` to rescale.  No reachability graph or matrix is built:
+    each move is a lookup in the net kernel's successor table, which the
+    replays filled.
     """
     check_log_base(log_base)
     conforming = [r for r in replays if r.conforming]
     if not conforming:
         raise ChainConstructionError("no conforming replays to estimate the entropy from")
 
-    kernel = net.kernel
-    markings: list[dict[str, int]] = [net.initial().as_dict()]
-    index = {net.initial().tokens: 0}
-    step: dict[tuple[int, str], int] = {}
-    moves: Counter[tuple[int, int]] = Counter()
+    succ, successor, start = net.kernel.succ, net.kernel.successor, net.kernel.start
+    moves: Counter[tuple[frozenset, frozenset]] = Counter()
     for result in conforming:
-        state = 0
+        state = start
         for firing in result.firings:
-            nxt = step.get((state, firing.transition))
-            if nxt is None:
-                if not kernel.can_fire(markings[state], firing.transition):
-                    raise ValueError(f"replay of {result.trace_id} fires "
-                                     f"{firing.transition} where it is not enabled")
-                after = kernel.fire(markings[state], firing.transition)
-                nxt = step[(state, firing.transition)] = index.setdefault(
-                    tuple(sorted(after.items())), len(markings))
-                if nxt == len(markings):
-                    markings.append(after)
-            moves[(state, nxt)] += 1
+            nxt = succ.get((state, firing.transition))
+            if nxt is None and (nxt := successor(state, firing.transition)) is None:
+                raise ValueError(f"replay of {result.trace_id} fires "
+                                 f"{firing.transition} where it is not enabled")
+            moves[state, nxt] += 1
             state = nxt
-        moves[(state, 0)] += 1  # the trace ends: close back to the start
+        moves[state, start] += 1  # the trace ends: close back to the start
 
-    out_totals: Counter[int] = Counter()
+    out_totals: Counter[frozenset] = Counter()
     for (src, _), n in moves.items():
         out_totals[src] += n
     weighted = 0.0

@@ -180,10 +180,16 @@ class Kernel:
     the silent transitions that can feed a transition with that label, and
     ``completion()``, the exact completion distance of a block-structured
     net (see :meth:`completion`).
+
+    It is also the net's one table of markings: a state is a marking held
+    once, as the frozenset of its ``(place, count)`` pairs, ``start`` the
+    initial one, and ``succ`` maps ``(state, t)`` to the state after firing
+    ``t``.  Replay memoizes its searches here, in ``paths`` and ``searches``.
     """
 
     __slots__ = ("pre", "post", "pure_in", "pure_out", "needs", "silent", "by_label",
-                 "feeders", "places", "marked", "_relevant", "_completion")
+                 "feeders", "places", "marked", "_relevant", "_completion",
+                 "start", "succ", "paths", "searches", "_states", "_reads")
 
     def __init__(self, net: PetriNet) -> None:
         nodes, ts = net.places + net.transitions, net.transitions
@@ -207,6 +213,12 @@ class Kernel:
         self.places = net.places
         self.marked = {p: n for p, n in net.initial_marking.items() if n > 0}
         self._relevant: dict[str, tuple[str, ...]] = {}
+        self.start = frozenset(self.marked.items())
+        self._states = {self.start: self.start}
+        self.succ: dict[tuple[frozenset, str], frozenset] = {}
+        self.paths: dict[tuple[frozenset, str | None], tuple | None] = {}
+        self.searches: dict[tuple[str, tuple], tuple | None] = {}
+        self._reads: dict[str, tuple[str, ...]] = {}
 
     def can_fire(self, counts: Mapping[str, int], t: str) -> bool:
         return counts.keys() >= self.needs[t]
@@ -223,6 +235,32 @@ class Kernel:
         remove_tokens(succ, self.pure_in[t])
         add_tokens(succ, self.pure_out[t])
         return succ
+
+    def successor(self, state: frozenset, *path: str,
+                  counts: dict[str, int] | None = None) -> frozenset | None:
+        """The state after firing ``path`` from ``state``, or ``None`` if a
+        step is not enabled; each firing made is kept in ``succ``.  Token
+        counts of ``state`` passed as ``counts`` are fired along in place."""
+        succ, states = self.succ, self._states
+        counts = dict(state) if counts is None else counts
+        for t in path:
+            if not counts.keys() >= self.needs[t]:
+                return None
+            remove_tokens(counts, self.pure_in[t])
+            add_tokens(counts, self.pure_out[t])
+            after = succ.get((state, t))
+            if after is None:
+                after = frozenset(counts.items())
+                after = succ[state, t] = states.setdefault(after, after)
+            state = after
+        return state
+
+    def reads(self, label: str) -> tuple[str, ...]:
+        """The places a search for ``label`` tests, in net order: the inputs
+        of its transitions and of the :meth:`relevant` ones it fires.  No
+        other place's tokens can change the search's result."""
+        self.relevant(label)
+        return self._reads[label]
 
     def relevant(self, label: str) -> tuple[str, ...]:
         """The silent transitions backward-reachable, through silent
@@ -246,6 +284,7 @@ class Kernel:
                         places.update(fresh)
                         stack += fresh
             found = self._relevant[label] = tuple(t for t in self.silent if t in feeding)
+            self._reads[label] = tuple(p for p in self.places if p in places)
         return found
 
     def completion(self) -> Completion | None:
@@ -477,8 +516,8 @@ def net_to_json(net: PetriNet) -> str:
     return json.dumps(net_to_doc(net), indent=2, sort_keys=True) + "\n"
 
 
-def net_from_json(text: str | IO[str]) -> PetriNet:
-    doc = json.loads(text if isinstance(text, str) else text.read())
+def net_from_doc(doc: Mapping) -> PetriNet:
+    """The net of a :func:`net_to_doc` document; other keys are ignored."""
     return PetriNet(
         places=tuple(doc["places"]),
         transitions=tuple(t["id"] for t in doc["transitions"]),
@@ -486,3 +525,7 @@ def net_from_json(text: str | IO[str]) -> PetriNet:
         labels={t["id"]: t["label"] for t in doc["transitions"]},
         initial_marking={p: int(n) for p, n in doc["initial_marking"].items()},
     )
+
+
+def net_from_json(text: str | IO[str]) -> PetriNet:
+    return net_from_doc(json.loads(text if isinstance(text, str) else text.read()))

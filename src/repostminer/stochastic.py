@@ -22,7 +22,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from .eventlog import Event, EventLog, Trace
 from .petri import (Completion, Kernel, PetriNet, add_tokens, is_free_choice,
-                    net_from_json, net_to_doc, remove_tokens)
+                    net_from_doc, net_to_doc, remove_tokens)
 
 PROBABILITY_TOLERANCE = 1e-9
 
@@ -109,7 +109,7 @@ class StochasticPetriNet:
 # A silent-path search result: (tau path, goal transition) for an event,
 # (tau path, None) for completion, or None when no silent path exists.
 SilentPath = tuple[tuple[str, ...], str | None] | None
-Memo = dict[tuple[frozenset, str | None], SilentPath]
+Step = tuple[tuple[str, ...], str | None, frozenset] | None  # a SilentPath, state after
 
 
 def _silent_path(kernel: Kernel, counts: dict[str, int],
@@ -209,8 +209,31 @@ def _fire_timed(kernel: Kernel, tokens: dict[str, list[float]], t: str,
     return enabled_at, out_time
 
 
-def replay_trace(net: PetriNet, trace: Trace, *,
-                 memo: Memo | None = None) -> ReplayResult:
+_UNSEEN = object()
+
+
+def _step(kernel: Kernel, state: frozenset, goal: str | None) -> Step:
+    """``_silent_path`` from ``state`` for ``goal`` and the state it leads
+    to, memoized on the kernel by state; a goal search is also memoized by
+    the marking of ``kernel.reads(goal)``, the places that decide it."""
+    if (found := kernel.paths.get((state, goal), _UNSEEN)) is not _UNSEEN:
+        return found
+    counts = dict(state)
+    if goal is None:
+        found = _silent_path(kernel, counts, None)
+    else:
+        near = (goal, tuple(map(counts.get, kernel.reads(goal))))
+        if (found := kernel.searches.get(near, _UNSEEN)) is _UNSEEN:
+            found = kernel.searches[near] = _silent_path(kernel, counts, goal)
+    if found is not None:
+        path, target = found
+        steps = path if target is None else path + (target,)
+        found = (path, target, kernel.successor(state, *steps, counts=counts))
+    kernel.paths[state, goal] = found
+    return found
+
+
+def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
     """Replay one trace, extracting enablement and firing times per event.
 
     For each observed event the shortest silent path that enables a matching
@@ -225,24 +248,17 @@ def replay_trace(net: PetriNet, trace: Trace, *,
     transitions per firing; elsewhere it is a breadth-first search.  If
     some event cannot be enabled the result is nonconforming at that index.
 
-    ``memo`` caches silent-path searches by (marking, account), with ``None``
-    for completion.  A search is a pure function of those and the net, so a
-    memo shared by calls on the same net changes no result; without one the
-    call starts cold.
+    The current marking is a state of the net's kernel.  A search depends
+    only on the net, the marking and the account, so its result and the
+    state it leads to are memoized on the kernel by (state, account), with
+    ``None`` for completion, and shared by every replay on the net; a goal
+    search is also memoized by the marking of the places it tests.
     """
-    kernel = net.kernel
-    memo = {} if memo is None else memo
+    kernel, state = net.kernel, net.kernel.start
     start_time = float(trace.events[0].timestamp) if trace.events else 0.0
     tokens = {p: [start_time] * n for p, n in net.initial_marking.items() if n > 0}
 
     firings: list[Firing] = []
-
-    def search(goal: str | None) -> SilentPath:
-        counts = {p: len(v) for p, v in tokens.items() if v}
-        key = (frozenset(counts.items()), goal)
-        if key not in memo:
-            memo[key] = _silent_path(kernel, counts, goal)
-        return memo[key]
 
     def fire_path(path: Iterable[str]) -> None:
         for silent in path:
@@ -250,26 +266,25 @@ def replay_trace(net: PetriNet, trace: Trace, *,
             firings.append(Firing(silent, None, en, fired))
 
     for index, event in enumerate(trace.events):
-        found = search(event.activity)
+        found = _step(kernel, state, event.activity)
         if found is None:
             return ReplayResult(trace.trace_id, tuple(firings), False, index)
-        path, target = found
+        path, target, state = found
         fire_path(path)
         enabled_at, fired_at = _fire_timed(kernel, tokens, target,
                                            float(event.timestamp))
         firings.append(Firing(target, event.activity, enabled_at, fired_at))
 
-    completion = search(None)
+    completion = _step(kernel, state, None)
     if completion is not None:
         fire_path(completion[0])
     return ReplayResult(trace.trace_id, tuple(firings), True, None)
 
 
 def replay_log(net: PetriNet, log: EventLog) -> list[ReplayResult]:
-    """Replay every trace, sharing one silent-path memo across the log; the
-    memo is dropped when the call returns."""
-    memo: Memo = {}
-    return [replay_trace(net, trace, memo=memo) for trace in log.traces]
+    """Replay every trace; the silent-path memo on the net's kernel carries
+    over from trace to trace and from call to call."""
+    return [replay_trace(net, trace) for trace in log.traces]
 
 
 def enrich_from_replays(net: PetriNet,
@@ -359,7 +374,7 @@ def fspn_to_json(fspn: StochasticPetriNet) -> str:
 
 def fspn_from_json(text: str | IO[str]) -> StochasticPetriNet:
     doc = json.loads(text if isinstance(text, str) else text.read())
-    net = net_from_json(json.dumps(doc))
+    net = net_from_doc(doc)
     probabilities = {(e["place"], e["transition"]): float(e["probability"])
                      for e in doc["arc_probabilities"]}
     delays = {t: EmpiricalDelay(tuple(float(x) for x in samples))

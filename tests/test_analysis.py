@@ -24,7 +24,7 @@ from repostminer.discovery import (ProcessTree, activity, loop, par, reduce_net,
 from repostminer.eventlog import EventLog, Trace
 from repostminer.petri import PetriNet
 from repostminer.reference_nets import broadcast_net, sequential_net
-from repostminer.stochastic import replay_log, simulate
+from repostminer.stochastic import Firing, ReplayResult, replay_log, simulate
 from treeutil import process_trees, random_replays, random_tree, uniform_fspn
 
 
@@ -276,6 +276,18 @@ class TestReplayEntropy:
         replays = replay_log(broadcast_net(), make_log([("A", "C", "B")]))
         with pytest.raises(ValueError, match="C where it is not enabled"):
             replay_entropy(sequential_net(), replays)
+
+    def test_disabled_firing_rejected_on_a_warm_kernel(self):
+        net = sequential_net()
+        kernel = net.kernel
+        good = replay_log(net, make_log([("A", "B", "C")]))
+        bad = ReplayResult("bad", (Firing("A", "A", 0.0, 0.0), Firing("C", "C", 0.0, 1.0)),
+                           True)
+        with pytest.raises(ValueError, match="replay of bad fires C where it is not enabled"):
+            replay_entropy(net, good + [bad])
+        after_a = kernel.succ[kernel.start, "A"]
+        assert (after_a, "C") not in kernel.succ
+        assert kernel.successor(after_a, "C") is None
 
 
 def ecdf_distance_oracle(a, b):

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logutil import make_log
+from refreplay import reference_replay_log
+from repostminer.analysis import replay_entropy
 from repostminer.discovery import activity, discover_tree, par, seq, tree_to_net
 from repostminer.eventlog import Event, EventLog, Trace
-from repostminer.petri import PetriNet, StateCapError, is_block_structured, reachability_graph
+from repostminer.petri import (PetriNet, StateCapError, is_block_structured, net_from_json,
+                               net_to_json, reachability_graph)
 from repostminer.reference_nets import broadcast_net, sequential_net, threshold_fspn
 from repostminer.stochastic import (
     EmpiricalDelay,
@@ -130,26 +133,56 @@ def inject(trace, edits):
     return Trace(trace.trace_id, tuple(events))
 
 
+def edited_log(fspn, seed, n_traces, edits, max_firings=1000):
+    """A simulated log with (trace index, position, kind) edits injected."""
+    traces = list(simulate(fspn, n_traces, seed=seed, max_firings=max_firings).traces)
+    for index, position, kind in edits:
+        i = index % len(traces)
+        traces[i] = inject(traces[i], [(position, kind)])
+    return EventLog(tuple(traces))
+
+
+EDITS = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 20),
+                           st.sampled_from(["unknown", "swap"])), max_size=8)
+
+
 class TestMemoizedReplay:
     @given(st.sampled_from(["threshold", "flower"]), st.integers(0, 2**32 - 1),
-           st.integers(1, 25),
-           st.lists(st.tuples(st.integers(0, 24), st.integers(0, 20),
-                              st.sampled_from(["unknown", "swap"])), max_size=8))
+           st.integers(1, 25), EDITS)
     @settings(max_examples=60, deadline=None)
     def test_memoized_equals_cold(self, model, seed, n_traces, edits):
+        # The models' nets are shared by every example, so their kernels are
+        # warm; each cold replay runs on a freshly built copy of the net.
         fspn = replay_models()[model]
-        log = simulate(fspn, n_traces, seed=seed)
-        traces = list(log.traces)
-        for index, position, kind in edits:
-            i = index % len(traces)
-            traces[i] = inject(traces[i], [(position, kind)])
-        log = EventLog(tuple(traces))
+        log = edited_log(fspn, seed, n_traces, edits)
         memoized = replay_log(fspn.net, log)
-        cold = [replay_trace(fspn.net, t) for t in log.traces]
+        cold = [replay_trace(net_from_json(net_to_json(fspn.net)), t) for t in log.traces]
         assert memoized == cold
         for trace, result in zip(log.traces, memoized):
             if any(e.activity == "stranger" for e in trace.events):
                 assert not result.conforming
+
+    @given(process_trees("abcdef", width=6),
+           st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 8), EDITS),
+                    min_size=2, max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_warm_kernel_equals_reference(self, tree, logs):
+        # Two logs replayed one after the other on one net give the results
+        # and the entropy of the per-call-memo reference on a fresh net.
+        net = tree_to_net(tree)
+        for seed, n_traces, edits in logs:
+            log = edited_log(uniform_fspn(net), seed, n_traces, edits, max_firings=60)
+            fresh = net_from_json(net_to_json(net))
+            replays, reference = replay_log(net, log), reference_replay_log(fresh, log)
+            assert replays == reference
+            if any(r.conforming for r in replays):
+                assert replay_entropy(net, replays) == replay_entropy(fresh, reference)
+        # A goal search memoized by the marking of the places it tests is
+        # the search from the full marking.
+        kernel = net.kernel
+        for (state, goal), found in kernel.paths.items():
+            assert (None if found is None else found[:2]) == _silent_path(
+                kernel, dict(state), goal)
 
 
 def reference_path(kernel, counts, goal_label):
@@ -211,12 +244,8 @@ class TestSilentSearch:
         net = tree_to_net(tree)
         kernel = net.kernel
         assert kernel.completion() is not None  # a tree's net is certified
-        traces = list(simulate(uniform_fspn(net), n_traces, seed=seed,
-                               max_firings=60).traces)
-        for index, position, kind in edits:
-            i = index % len(traces)
-            traces[i] = inject(traces[i], [(position, kind)])
-        for trace in traces:
+        for trace in edited_log(uniform_fspn(net), seed, n_traces, edits,
+                                max_firings=60).traces:
             counts = dict(net.initial_marking)
             for event in trace.events + (None,):
                 assert (_silent_path(kernel, counts, None)
