@@ -71,6 +71,20 @@ class PipelineConfig:
             raise ValueError(f"bot_high ({self.bot_high}) must exceed "
                              f"bot_low ({self.bot_low})")
         analysis.check_log_base(self.entropy_log_base)
+        writers: dict[str, Path] = {}
+        for path in self.inputs:
+            for name in self.run_names(path):
+                if name in writers:
+                    raise ValueError(f"inputs {writers[name]} and {path} would both "
+                                     f"write run {name!r}")
+                writers[name] = path
+
+    def run_names(self, path: Path) -> list[str]:
+        """The run directories input ``path`` writes under ``out_dir``: its
+        stem, or with a bot-score split one per half, high first."""
+        if self.split_bot_scores:
+            return [f"{path.stem}-bot_high", f"{path.stem}-bot_low"]
+        return [path.stem]
 
     def schema(self) -> eventlog.LogSchema:
         return eventlog.LogSchema(
@@ -243,16 +257,16 @@ def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
 
 
 def run_pipeline(config: PipelineConfig) -> list[analysis.MetricsReport]:
-    """Run the full pipeline for every input log (and bot-score half)."""
+    """Run the full pipeline for every input log (and bot-score half), each
+    run into ``config.out_dir`` / its name from ``config.run_names``."""
     reports = []
     for path in config.inputs:
-        runs = {path.stem: _read_log(path, config)}
+        logs = [_read_log(path, config)]
         if config.split_bot_scores:
             with _stage("split"):
-                high, low = eventlog.split_by_bot_score(
-                    runs[path.stem], config.bot_high, config.bot_low)
-            runs = {f"{path.stem}-bot_high": high, f"{path.stem}-bot_low": low}
-        for run_name, log in runs.items():
+                logs = eventlog.split_by_bot_score(logs[0], config.bot_high,
+                                                   config.bot_low)
+        for run_name, log in zip(config.run_names(path), logs):
             reports.append(_run_single(run_name, log, config,
                                        config.out_dir / run_name))
     return reports

@@ -3,19 +3,40 @@
 It is the plain row loop: one ``(timestamp, account, score)`` tuple per
 valid row, no object shared between rows, and the earliest-N rule written
 out as a sort on (first timestamp, appearance).  The library keeps a compact
-store instead; both must give the same log and the same warnings.
+store instead; both must give the same log and the same warnings.  Each
+ISO-8601 stamp is parsed on its own here, so the library's per-hour memo
+has an oracle too.
 """
 
 import csv
 import io
 import logging
+from datetime import datetime, timezone
 
 from repostminer.eventlog import Event, EventLog, LogSchema, Trace
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _seconds(cell: str, timestamp_format: str) -> int:
+    """Epoch second of one timestamp cell: ``int(float(cell))`` for epoch
+    stamps, else ``fromisoformat`` after rewriting a trailing ``Z`` (which
+    Python 3.10 rejects), with naive stamps read as UTC."""
+    if timestamp_format == "epoch":
+        return int(float(cell))
+    stamp = cell.strip()
+    if stamp[-1:] in ("Z", "z"):
+        stamp = stamp[:-1] + "+00:00"
+    moment = datetime.fromisoformat(stamp)
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return int((moment - _EPOCH).total_seconds())
+
+
 def reference_parse(text: str, schema: LogSchema, max_events=None, max_traces=None):
-    """(log, warnings) for the dump ``text``, whose timestamps are epoch
-    seconds; each warning is ``(logging.WARNING, message)`` as ``parse_log``
+    """(log, warnings) for the dump ``text`` read with ``schema``'s timestamp
+    format; each warning is ``(logging.WARNING, message)`` as ``parse_log``
     logs it."""
     warnings = []
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=schema.delimiter)
@@ -41,7 +62,7 @@ def reference_parse(text: str, schema: LogSchema, max_events=None, max_traces=No
                 raise ValueError("empty trace id")
             if not account:
                 raise ValueError("empty activity")
-            timestamp = int(float(row[i_ts]))
+            timestamp = _seconds(row[i_ts], schema.timestamp_format)
             score = None
             if i_bot is not None and row[i_bot].strip():
                 score = float(row[i_bot])

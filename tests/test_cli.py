@@ -400,6 +400,18 @@ class TestFailures:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{command}: error in stage config: ")
 
+    @pytest.mark.parametrize("flags", [[], ["--split-bot-scores"]])
+    def test_inputs_with_one_stem_fail_before_reading(self, tmp_path, capsys, flags):
+        # neither input exists, so a failure in stage config opened neither
+        first, second = tmp_path / "a" / "dump.csv", tmp_path / "b" / "dump.csv"
+        out = tmp_path / "out"
+        assert main(["discover", "--input", str(first), "--input", str(second),
+                     "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("discover: error in stage config: ")
+        assert str(first) in err and str(second) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_traces", ["0", "2"])
     def test_simulate_negative_seed_fails_before_drawing(self, tmp_path, capsys,
                                                          n_traces):

@@ -2,6 +2,7 @@ import io
 import logging
 import random
 import tracemalloc
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -104,6 +105,15 @@ class TestParse:
             again = parse(header + "\n".join(rows) + "\n", EPOCH_SCHEMA)
             assert ({t.trace_id: t.events for t in base} ==
                     {t.trace_id: t.events for t in again})
+
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_byte_order_mark_dropped_from_header(self, tmp_path, source):
+        text = "\ufefftrace_id,activity,timestamp\n1,a,10\n"
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        log = (parse_log(path, EPOCH_SCHEMA) if source == "path"
+               else parse(text, EPOCH_SCHEMA))
+        assert log == parse(text[1:], EPOCH_SCHEMA)
 
     def test_roundtrip_through_writer(self, tmp_path):
         log = make_log([("a", "b"), ("c",)])
@@ -371,3 +381,85 @@ class TestDfg:
         assert sum(dfg.edge_counts.values()) == sum(
             max(0, len(s) - 1) for s in seqs)
         assert sum(dfg.start_counts.values()) == sum(1 for s in seqs if s)
+
+
+ISO_SCHEMA = LogSchema(bot_score="bot")
+# Day ends, a leap day's among them, in epoch seconds: stamps a few seconds
+# either side share hours, cross an hour and cross a day
+_DAY_ENDS = [1704067200,   # 2024-01-01T00:00
+             1709251200,   # 2024-03-01T00:00, after 2024-02-29
+             1677628800]   # 2023-03-01T00:00, after 2023-02-28
+# The per-hour memo's forms, then forms only the full parse takes
+_ZONES = ["Z", "z", "+00:00", ".000Z", ".000z", ".000+00:00",
+          "+05:30", ".5Z", ""]
+_ODD_STAMPS = [" 2024-02-29T23:59:59Z", "2024-02-29T23:59:59Z ",
+               "2024-02-29t23:59:58Z", "2024-02-29 23:59:57Z",
+               "2023-12-31T24:00:00Z", "2023-12-31T23:59:60Z",
+               "2024-02-29T23:59:60Z", "2024-02-29T23:60:00Z",
+               "2023-02-29T23:59:59Z", "2024-02-29T00:00:00Z"]
+
+
+def _stamp(epoch, zone):
+    moment = datetime.fromtimestamp(epoch, timezone.utc)
+    return moment.strftime("%Y-%m-%dT%H:%M:%S") + zone
+
+
+_iso_stamp = st.one_of(
+    st.builds(_stamp, st.builds(int.__add__, st.sampled_from(_DAY_ENDS),
+                                st.integers(-3, 2)),
+              st.sampled_from(_ZONES)),
+    st.sampled_from(_ODD_STAMPS))
+_iso_row = st.builds("{},{},{},{}".format, st.sampled_from(CAP_TRACES),
+                     st.sampled_from(["ab", "bc"]), _iso_stamp,
+                     st.sampled_from(["", "0.5", "1.5"]))
+
+
+class TestIsoParse:
+    """The per-hour memo of ISO-8601 stamps against a parser that converts
+    every stamp on its own."""
+
+    @given(rows=st.tuples(st.lists(_iso_row, max_size=40),
+                          st.lists(_bad_row, max_size=4)).flatmap(
+               lambda rows: st.permutations(rows[0] + rows[1])),
+           max_events=_cap, max_traces=_cap)
+    # each hour's first row is rejected: a leap second, a bad score, then a
+    # bad date; the later rows of those hours parse, or fail, on their own
+    @example(rows=["p0,ab,2024-02-29T23:59:60Z,", "p0,bc,2024-02-29T23:59:59Z,",
+                   "p1,ab,2024-03-01T00:00:00Z,1.5", "p1,bc,2024-03-01T00:00:01.000z,",
+                   "p2,ab,2023-02-29T23:59:59Z,", "p2,bc,2023-02-29T23:59:58Z,",
+                   "p2,ab,2023-03-01T00:00:00+00:00,"],
+             max_events=None, max_traces=None)
+    # an offset, a fraction and a naive stamp in an hour the memo holds
+    @example(rows=["p0,ab,2024-01-01T00:00:00Z,", "p0,bc,2024-01-01T00:00:01+05:30,",
+                   "p1,ab,2024-01-01T00:00:02.5Z,", "p1,bc,2024-01-01T00:00:03,"],
+             max_events=None, max_traces=None)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, rows, max_events, max_traces):
+        text = "trace_id,activity,timestamp,bot\n" + "\n".join(rows) + "\n"
+        log, warnings = parse_capturing(text, max_events, max_traces,
+                                        schema=ISO_SCHEMA)
+        assert (log, warnings) == reference_parse(text, ISO_SCHEMA,
+                                                  max_events, max_traces)
+
+    def test_non_leap_feb_29_rejected(self):
+        text = ("trace_id,activity,timestamp,bot\n"
+                "p0,ab,2023-02-29T10:00:00Z,\n"
+                "p0,bc,2023-02-29T10:00:01Z,\n"
+                "p0,cd,2024-02-29T10:00:00Z,\n")
+        log, warnings = parse_capturing(text, schema=ISO_SCHEMA)
+        assert log.traces[0].events == (Event("p0", "cd", 1709200800),)
+        assert [message for _, message in warnings] == [
+            "line 2: rejected row (day is out of range for month)",
+            "line 3: rejected row (day is out of range for month)",
+            "rejected 2 of 3 rows"]
+
+    def test_hour_24_rejected(self):
+        text = ("trace_id,activity,timestamp,bot\n"
+                "p0,ab,2023-12-31T24:00:00Z,\n"
+                "p0,bc,2024-01-01T00:00:00Z,\n"
+                "p0,cd,2024-01-01T00:00:01Z,\n")
+        log, warnings = parse_capturing(text, schema=ISO_SCHEMA)
+        assert [(e.activity, e.timestamp) for e in log.traces[0]] == [
+            ("bc", 1704067200), ("cd", 1704067201)]
+        assert [message for _, message in warnings] == [
+            "line 2: rejected row (hour must be in 0..23)", "rejected 1 of 3 rows"]
