@@ -26,7 +26,6 @@ from .eventlog import (
     LogSchema,
     SchemaError,
     Trace,
-    build_dfg,
     parse_log,
     preprocess,
     split_by_bot_score,

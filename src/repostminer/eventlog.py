@@ -20,9 +20,10 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -31,9 +32,9 @@ class SchemaError(ValueError):
     """The input columns or schema configuration do not match the data."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """One repost: (original post, reposting account, epoch second)."""
+class Event(NamedTuple):
+    """One repost: (original post, reposting account, epoch second).  A
+    named tuple, built in half a dataclass's time; copy with ``_replace``."""
 
     trace_id: str
     activity: str
@@ -163,7 +164,8 @@ def parse_log(source: IO[str] | str | Path,
 
     ``source`` is a path, opened as UTF-8 and closed on return, or a text
     stream, read as given and left open.  One leading byte-order mark
-    (U+FEFF, as "CSV UTF-8" exports write) is dropped from the header.  Rows
+    (U+FEFF, as "CSV UTF-8" exports write) is dropped before the header is
+    split into cells, so a quoted first cell stays quoted.  Rows
     are grouped by trace id and sorted by timestamp within each trace
     (stable, so simultaneous reposts keep file order).  Malformed rows are
     rejected and logged with their line number; a missing mandatory column
@@ -195,13 +197,13 @@ def parse_log(source: IO[str] | str | Path,
     opened = (open(source, encoding="utf-8", newline="")
               if isinstance(source, (str, Path)) else nullcontext(source))
     with opened as stream:
-        reader = csv.reader(stream, delimiter=schema.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty input: header row required") from None
-        if header and header[0].startswith("\ufeff"):
-            header[0] = header[0][1:]
+        lines = iter(stream)
+        first = next(lines, None)
+        if first is None:
+            raise SchemaError("empty input: header row required")
+        reader = csv.reader(chain([first.removeprefix("\ufeff")], lines),
+                            delimiter=schema.delimiter)
+        header = next(reader)
 
         positions = {name.strip(): i for i, name in enumerate(header)}
         needed = [schema.trace_id, schema.activity, schema.timestamp]
@@ -356,12 +358,9 @@ def split_by_bot_score(log: EventLog, high: float = 0.9,
     return (select(lambda s: s > high), select(lambda s: s < low))
 
 
-def build_dfg(log: EventLog) -> Dfg:
-    """Count directly-follows pairs plus start/end activities over the log."""
-    return dfg_from_sequences(log.sequences())
-
-
 def dfg_from_sequences(seqs: Iterable[tuple[str, ...]]) -> Dfg:
+    """Count directly-follows pairs plus start/end activities over ``seqs``;
+    ``log.sequences()`` gives a log's."""
     edges: Counter[tuple[str, str]] = Counter()
     starts: Counter[str] = Counter()
     ends: Counter[str] = Counter()

@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate
 from statistics import mean, median
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .eventlog import Event, EventLog, Trace
 from .petri import (Completion, Kernel, PetriNet, add_tokens, is_free_choice,
@@ -51,8 +51,9 @@ class EmpiricalDelay:
         return float(mean(self.samples))
 
 
-@dataclass(frozen=True)
-class Firing:
+class Firing(NamedTuple):
+    """One firing of a replay; ``label`` is None for a silent transition."""
+
     transition: str
     label: str | None
     enabled_at: float

@@ -239,7 +239,7 @@ class TestEntropy:
                 tuple((names[a], names[b]) for a, b in net.arcs),
                 {names[t]: net.label(t) for t in net.transitions},
                 {names[p]: n for p, n in net.initial_marking.items()})
-            moved = [replace(r, firings=tuple(replace(f, transition=names[f.transition])
+            moved = [replace(r, firings=tuple(f._replace(transition=names[f.transition])
                                               for f in r.firings)) for r in replays]
             assert replay_entropy(renamed, moved) == pytest.approx(
                 replay_entropy(net, replays), abs=1e-12)

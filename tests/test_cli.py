@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import repostminer
+from repostminer import cli
 from repostminer.cli import (
     PipelineConfig,
     PipelineError,
@@ -498,3 +500,54 @@ class TestOptions:
         run = out / log.stem
         assert main(["export-dot", "--net", str(run / "net.json"), "--reduce"]) == 0
         assert capsys.readouterr().out == (run / "model.dot").read_text()
+
+
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic collector paused and hands the
+    caller's collector state back, however the command ends."""
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["success", "stage-error", "crash"])
+    def test_caller_state_restored(self, monkeypatch, capsys, collecting, outcome):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if outcome == "stage-error":
+                raise PipelineError("parse", "no such file")
+            if outcome == "crash":
+                raise KeyboardInterrupt
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_compare", command)
+        argv = ["compare", "--report-a", "a.json", "--report-b", "b.json"]
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            if outcome == "crash":
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == (0 if outcome == "success" else 1)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+        assert after is collecting
+
+    def test_cyclic_garbage_does_not_grow_with_the_log(self, tmp_path, capsys):
+        # the pause costs bounded memory only while a command leaves the same
+        # cyclic garbage whatever the length of its log; over 100 accounts
+        # both logs discover the same flower, whose building leaves some
+        small = organic_log(tmp_path / "small.csv", cascades=250, accounts=100)
+        large = organic_log(tmp_path / "large.csv", cascades=4000, accounts=100)
+        left = []
+        for log in (small, small, large):  # the first run warms lazy state
+            gc.collect()
+            assert main(["discover", "--input", str(log), "--out", str(tmp_path / "out"),
+                         "--schema", "format=epoch"]) == 0
+            left.append(gc.collect())
+        nets = [(tmp_path / "out" / name / "net.json").read_text()
+                for name in ("small", "large")]
+        assert nets[0] == nets[1]
+        assert left[1] == left[2]

@@ -24,7 +24,7 @@ from repostminer.discovery import (
     tree_to_net,
     xor,
 )
-from repostminer.eventlog import Dfg, EventLog, build_dfg
+from repostminer.eventlog import Dfg, EventLog, dfg_from_sequences
 from repostminer.petri import is_free_choice, tau_free_language
 from repostminer.stochastic import replay_trace
 
@@ -56,7 +56,7 @@ class TestFilterDfg:
 
 class TestFindCut:
     def test_sequence_cut_on_broadcast_log(self):
-        dfg = build_dfg(make_log([("A", "B", "C"), ("A", "C", "B")]))
+        dfg = dfg_from_sequences(make_log([("A", "B", "C"), ("A", "C", "B")]).sequences())
         cut = find_cut(dfg, {"A", "B", "C"})
         assert cut == Cut("seq", (frozenset({"A"}), frozenset({"B", "C"})))
 
@@ -67,24 +67,24 @@ class TestFindCut:
         assert cut == Cut("par", (frozenset({"B"}), frozenset({"C"})))
 
     def test_xor_cut_on_disconnected_parts(self):
-        dfg = build_dfg(make_log([("A", "B"), ("C", "D")]))
+        dfg = dfg_from_sequences(make_log([("A", "B"), ("C", "D")]).sequences())
         cut = find_cut(dfg, {"A", "B", "C", "D"})
         assert cut.kind == "xor"
         assert set(cut.partition) == {frozenset({"A", "B"}), frozenset({"C", "D"})}
 
     def test_loop_cut_body_and_redo(self):
         # A starts and ends every trace; R only occurs between repetitions.
-        dfg = build_dfg(make_log([("A", "R", "A"), ("A",)]))
+        dfg = dfg_from_sequences(make_log([("A", "R", "A"), ("A",)]).sequences())
         cut = find_cut(dfg, {"A", "R"})
         assert cut == Cut("loop", (frozenset({"A"}), frozenset({"R"})))
 
     def test_single_activity_no_cut(self):
-        dfg = build_dfg(make_log([("A",)]))
+        dfg = dfg_from_sequences(make_log([("A",)]).sequences())
         assert find_cut(dfg, {"A"}) is None
 
     def test_mutual_pair_with_missing_start_has_no_cut(self):
         # B never starts a trace, so neither parallel nor loop applies.
-        dfg = build_dfg(make_log([("A", "B", "A"), ("A", "B")]))
+        dfg = dfg_from_sequences(make_log([("A", "B", "A"), ("A", "B")]).sequences())
         assert find_cut(dfg, {"A", "B"}) is None
 
     def test_diamond_merges_its_unordered_middle(self):

@@ -1,3 +1,4 @@
+import csv
 import io
 import logging
 import random
@@ -16,7 +17,7 @@ from repostminer.eventlog import (
     LogSchema,
     SchemaError,
     Trace,
-    build_dfg,
+    dfg_from_sequences,
     parse_log,
     preprocess,
     split_by_bot_score,
@@ -115,6 +116,22 @@ class TestParse:
                else parse(text, EPOCH_SCHEMA))
         assert log == parse(text[1:], EPOCH_SCHEMA)
 
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_byte_order_mark_before_quoted_header(self, tmp_path, source):
+        path = tmp_path / "quoted.csv"
+        with open(path, "w", encoding="utf-8-sig", newline="") as f:
+            writer = csv.writer(f, quoting=csv.QUOTE_ALL)
+            writer.writerows([["trace_id", "activity", "timestamp"], ["1", "a", "10"]])
+        assert path.read_bytes().startswith(b'\xef\xbb\xbf"trace_id"')
+        text = path.read_text(encoding="utf-8")
+        log = (parse_log(path, EPOCH_SCHEMA) if source == "path"
+               else parse(text, EPOCH_SCHEMA))
+        assert log == EventLog((Trace("1", (Event("1", "a", 10),)),))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(SchemaError, match="empty input"):
+            parse("", EPOCH_SCHEMA)
+
     def test_roundtrip_through_writer(self, tmp_path):
         log = make_log([("a", "b"), ("c",)])
         path = tmp_path / "out.csv"
@@ -144,6 +161,21 @@ def logs(bot):
             for trace_id, events in raw))
     return st.lists(trace, min_size=1, max_size=4,
                     unique_by=lambda t: t[0]).map(build)
+
+
+class TestEvent:
+    def test_fields_cannot_be_assigned(self):
+        event = Event("t", "a", 1)
+        with pytest.raises(AttributeError):
+            event.activity = "b"
+
+    def test_bot_score_defaults_to_none(self):
+        assert Event("t", "a", 1).bot_score is None
+
+    def test_hash_is_the_field_tuple_hash(self):
+        fields = ("t", "a", 1, 0.5)
+        assert hash(Event(*fields)) == hash(fields)
+        assert Event(*fields) == Event("t", "a", 1, 0.5) != Event("t", "a", 1)
 
 
 class TestRoundTrip:
@@ -355,20 +387,20 @@ class TestBotSplit:
 
 class TestDfg:
     def test_adjacent_pair_counts(self):
-        dfg = build_dfg(make_log([("A", "B", "C"), ("A", "C", "B")]))
+        dfg = dfg_from_sequences(make_log([("A", "B", "C"), ("A", "C", "B")]).sequences())
         assert dfg.edge_counts == {("A", "B"): 1, ("B", "C"): 1,
                                    ("A", "C"): 1, ("C", "B"): 1}
         assert dfg.start_counts == {"A": 2}
         assert dfg.end_counts == {"C": 1, "B": 1}
 
     def test_single_event_trace(self):
-        dfg = build_dfg(make_log([("A",)]))
+        dfg = dfg_from_sequences(make_log([("A",)]).sequences())
         assert dfg.edge_counts == {}
         assert dfg.start_counts == {"A": 1}
         assert dfg.end_counts == {"A": 1}
 
     def test_empty_log(self):
-        dfg = build_dfg(EventLog())
+        dfg = dfg_from_sequences(EventLog().sequences())
         assert dfg.edge_counts == {} and dfg.start_counts == {}
 
     @given(st.lists(st.lists(st.integers(0, 4), min_size=0, max_size=10),
@@ -377,7 +409,7 @@ class TestDfg:
     def test_edge_total_matches_pair_count(self, shape):
         seqs = [tuple(f"u{x}" for x in seq) for seq in shape]
         log = make_log(seqs)
-        dfg = build_dfg(log)
+        dfg = dfg_from_sequences(log.sequences())
         assert sum(dfg.edge_counts.values()) == sum(
             max(0, len(s) - 1) for s in seqs)
         assert sum(dfg.start_counts.values()) == sum(1 for s in seqs if s)

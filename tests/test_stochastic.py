@@ -449,6 +449,21 @@ class TestEnrich:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
 
+class TestFiring:
+    def test_fields_cannot_be_assigned(self):
+        firing = Firing("t1", "A", 3.0, 5.5)
+        with pytest.raises(AttributeError):
+            firing.fired_at = 6.0
+
+    def test_hash_is_the_field_tuple_hash(self):
+        fields = ("t1", "A", 3.0, 5.5)
+        assert hash(Firing(*fields)) == hash(fields)
+
+    def test_wait_clamps_at_zero(self):
+        assert Firing("t1", "A", 3.0, 5.5).wait == 2.5
+        assert Firing("tau", None, 5.0, 3.0).wait == 0.0
+
+
 class TestValidation:
     def test_empty_delay_rejected(self):
         with pytest.raises(ValueError):
