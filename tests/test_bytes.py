@@ -1,19 +1,26 @@
 """Byte regression of the pipeline's replay, enrichment and simulation.
 
-Two small seeded logs go through ``repostminer discover``, and the threshold
-model, the discovered broadcast model and a multi-token loop model go
-through ``repostminer simulate``; the sha256 of each output file
-must match the digest pinned below.  The digests were recorded before
+Two small seeded logs go through ``repostminer discover`` and the two runs
+through ``repostminer compare``, and the threshold model, the discovered
+broadcast model and a multi-token loop model go through
+``repostminer simulate``; the sha256 of each output file must match the
+digest pinned below.  The digests were recorded before
 firing was compiled into ``PetriNet.kernel`` and replay memoized its
 silent-path searches, the loop model's before ``simulate`` became one
 flat event loop, so any drift in replay order, tie-breaks, waits, arc
 probabilities or the simulator's random draws fails here.  ``report.json``
-is left out on purpose: its entropy and provenance may change by design.
+is left out on purpose: its provenance may change by design.  Its CSV twin
+``report.csv`` is pinned, as are the reduced ``model.dot`` and the
+``compare.json`` of the flower run against the broadcast run, so the
+measures, their column order and how ``compare`` relates them stay fixed;
+adding or changing a measure updates these digests on purpose.
 
 Run ``python tests/test_bytes.py`` to print the digests of the current code.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 import sys
 from pathlib import Path
@@ -33,6 +40,11 @@ PINNED = {
     "simulated.csv": "7ae93544c6db1f5c28906cdcbb8114a256c76960949341dfa4edf61a10592386",
     "broadcast-simulated.csv": "06cbb029b873b02aec1ab429a4d16e5101d1c125812e10ca358f120adca7e08c",
     "loop-simulated.csv": "3e60c86e84339c0ccabebe2503d7663e4022036087eda015677a0f93a9bd40da",
+    "flower/report.csv": "99cfd5fabede834bbccf4d25abc2759ebfebbd29d9a48a693ec9565b4c256101",
+    "broadcast/report.csv": "4191bd6ba0b720f33cada7b5922131d02eccef8cbe2f77ca9e1dad30b9d24d33",
+    "flower/model.dot": "ce7e46905fce0242025253d68bd4346c8fbcdd1ba217e03c3bc9cade5c3e9785",
+    "broadcast/model.dot": "a945c4bb8eb4289a1c33ef21a3b15b3555c7de9bc4d3813e06a06e6646c954e3",
+    "compare.json": "bdabb1e84cca28a9eb77712dfb8c968a85a55274094962e6400721050bfc6e18",
 }
 
 
@@ -110,6 +122,11 @@ def produce(work):
         code = main(["discover", "--input", str(work / f"{name}.csv"),
                      "--out", str(work / "out"), "--schema", "format=epoch"])
         assert code == 0, name
+    with contextlib.redirect_stdout(io.StringIO()):  # it echoes compare.json
+        code = main(["compare", "--report-a", str(work / "out/flower/report.json"),
+                     "--report-b", str(work / "out/broadcast/report.json"),
+                     "--out", str(work / "out" / "compare.json")])
+    assert code == 0
     (work / "threshold.json").write_text(fspn_to_json(threshold_fspn()))
     code = main(["simulate", "--fspn", str(work / "threshold.json"),
                  "--n-traces", "200", "--seed", "17",
