@@ -2,8 +2,8 @@
 
 from .analysis import (
     ChainConstructionError,
+    MEASURES,
     MeasureError,
-    MetricsReport,
     density,
     diameter,
     ks_two_sample,

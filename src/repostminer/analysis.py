@@ -11,13 +11,13 @@ waiting-time samples between runs.  Every measure is plain Python.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .petri import PetriNet
-from .stochastic import ReplayResult
+from .stochastic import ReplayResult, WaitingStats
 
 
 class MeasureError(ValueError):
@@ -139,29 +139,39 @@ def _kolmogorov_pvalue(lam: float) -> float:
     return min(1.0, max(0.0, total))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """One row of the structural/behavioral summary table."""
+class MeasuredRun(NamedTuple):
+    """What a measure reads of one replayed run, its waiting stats computed once."""
 
-    node_count: int
-    density: float
-    diameter: int
-    mean_of_mean_wait_seconds: float
-    ks_entropy: float
-    provenance: dict[str, object] = field(default_factory=dict)
+    display: PetriNet
+    net: PetriNet
+    replays: Sequence[ReplayResult]
+    stats: WaitingStats
+    log_base: float | None
 
-    CSV_HEADER = "nodes,density,diameter,mean_wait_seconds,ks_entropy"
 
-    def csv_row(self) -> str:
-        return (f"{self.node_count},{self.density!r},{self.diameter},"
-                f"{self.mean_of_mean_wait_seconds!r},{self.ks_entropy!r}")
+class Measure(NamedTuple):
+    """A ``report.json`` key, its ``report.csv`` column, its value on a run and,
+    if runs are compared on it, its ``compare.json`` key and relation (a, b)."""
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "node_count": self.node_count,
-            "density": self.density,
-            "diameter": self.diameter,
-            "mean_of_mean_wait_seconds": self.mean_of_mean_wait_seconds,
-            "ks_entropy": self.ks_entropy,
-            "provenance": dict(self.provenance),
-        }
+    key: str
+    column: str
+    value: Callable[[MeasuredRun], float]
+    compare_key: str | None = None
+    relate: Callable[[float, float], float] | None = None
+
+
+# Rows are reported and evaluated in order; a degenerate run fails on its first
+# undefined measure.  Values look functions up when called, so that a wrapper
+# set on this module (a tracer's, say) is the one measured.
+MEASURES: tuple[Measure, ...] = (
+    Measure("node_count", "nodes", lambda run: run.display.node_count()),
+    Measure("density", "density", lambda run: density(run.display),
+            "density_ratio", operator.truediv),
+    Measure("diameter", "diameter", lambda run: diameter(run.display),
+            "diameter_difference", operator.sub),
+    Measure("mean_of_mean_wait_seconds", "mean_wait_seconds",
+            lambda run: run.stats.mean_of_means),
+    Measure("ks_entropy", "ks_entropy",
+            lambda run: replay_entropy(run.net, run.replays, run.log_base),
+            "entropy_difference", operator.sub),
+)

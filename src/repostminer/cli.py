@@ -100,12 +100,13 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: Path) -> "PipelineConfig":
         raw = json.loads(path.read_text())
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "inputs" in raw:
-            raw["inputs"] = [Path(p) for p in raw["inputs"]]
+        inputs = raw.get("inputs", [])
+        if not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
+            raise ValueError(f"'inputs' must be a list of paths, got {inputs!r}")
+        raw["inputs"] = [Path(p) for p in inputs]
         if "out_dir" in raw:
             raw["out_dir"] = Path(raw["out_dir"])
         return cls(**raw)
@@ -166,29 +167,27 @@ def export_dot(net: petri.PetriNet,
     return "\n".join(lines) + "\n"
 
 
+def _csv_row(values: dict[str, float]) -> str:
+    return ",".join(map(repr, values.values()))
+
+
 def measure(net: petri.PetriNet, replays: list[stochastic.ReplayResult],
             entropy_log_base: float | None, provenance: dict[str, object],
-            ) -> tuple[analysis.MetricsReport, dict[str, str], petri.PetriNet]:
-    """The report of a replayed net, file name -> text of ``report.json``,
-    ``report.csv`` and ``conformance.json``, and the reduced display net that
-    the report's node count, density and diameter are from."""
+            ) -> tuple[dict[str, float], dict[str, str], petri.PetriNet]:
+    """Key -> value of each ``analysis.MEASURES`` row on a replayed net, file
+    name -> text of its reports, and the display net of the structural rows."""
     display_net = discovery.reduce_net(net)
     stats = stochastic.waiting_time_stats(replays)
-    report = analysis.MetricsReport(
-        node_count=display_net.node_count(),
-        density=analysis.density(display_net),
-        diameter=analysis.diameter(display_net),
-        mean_of_mean_wait_seconds=stats.mean_of_means,
-        ks_entropy=analysis.replay_entropy(net, replays, entropy_log_base),
-        provenance=provenance,
-    )
-    doc = report.as_dict()
-    doc["per_user_mean_waits"] = {a: s.mean for a, s in stats.per_activity.items()}
+    run = analysis.MeasuredRun(display_net, net, replays, stats, entropy_log_base)
+    values = {m.key: m.value(run) for m in analysis.MEASURES}
+    waits = {a: s.mean for a, s in stats.per_activity.items()}
     failures = [{"trace_id": r.trace_id, "failed_index": r.failed_index}
                 for r in replays if not r.conforming]
     files = {
-        "report.json": _json_text(doc),
-        "report.csv": analysis.MetricsReport.CSV_HEADER + "\n" + report.csv_row() + "\n",
+        "report.json": _json_text({**values, "provenance": provenance,
+                                   "per_user_mean_waits": waits}),
+        "report.csv": (",".join(m.column for m in analysis.MEASURES) + "\n"
+                       + _csv_row(values) + "\n"),
         "conformance.json": _json_text({
             "total": len(replays),
             "conforming": len(replays) - len(failures),
@@ -196,7 +195,7 @@ def measure(net: petri.PetriNet, replays: list[stochastic.ReplayResult],
             "failures": failures,
         }),
     }
-    return report, files, display_net
+    return values, files, display_net
 
 
 def _read_log(path: Path, config: PipelineConfig) -> eventlog.EventLog:
@@ -227,7 +226,7 @@ def _write_run(out_dir: Path, files: dict[str, str]) -> None:
 
 
 def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
-                out_dir: Path) -> analysis.MetricsReport:
+                out_dir: Path) -> dict[str, float]:
     """Discover, enrich and measure one preprocessed log; write artifacts."""
     with _stage("discover"):
         tree = discovery.discover_tree(log, config.noise_threshold)
@@ -237,7 +236,7 @@ def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
     with _stage("enrich"):
         fspn = stochastic.enrich_from_replays(net, replays)
     with _stage("analyze"):
-        report, files, display_net = measure(net, replays, config.entropy_log_base, {
+        values, files, display_net = measure(net, replays, config.entropy_log_base, {
             "log": name,
             "process_tree": discovery.format_tree(tree),
             "max_events": config.max_events,
@@ -254,13 +253,14 @@ def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
             "model.dot": export_dot(display_net),
             **files,
         })
-    return report
+    return values
 
 
-def run_pipeline(config: PipelineConfig) -> list[analysis.MetricsReport]:
+def run_pipeline(config: PipelineConfig) -> dict[str, dict[str, float]]:
     """Run the full pipeline for every input log (and bot-score half), each
-    run into ``config.out_dir`` / its name from ``config.run_names``."""
-    reports = []
+    run into ``config.out_dir`` / its name from ``config.run_names``; return
+    run name -> its measure values, as :func:`measure` gives them."""
+    reports = {}
     for path in config.inputs:
         logs = [_read_log(path, config)]
         if config.split_bot_scores:
@@ -268,35 +268,23 @@ def run_pipeline(config: PipelineConfig) -> list[analysis.MetricsReport]:
                 logs = eventlog.split_by_bot_score(logs[0], config.bot_high,
                                                    config.bot_low)
         for run_name, log in zip(config.run_names(path), logs):
-            reports.append(_run_single(run_name, log, config,
-                                       config.out_dir / run_name))
+            reports[run_name] = _run_single(run_name, log, config,
+                                            config.out_dir / run_name)
     return reports
 
 
-def compare(report_a: dict, waits_a: dict[str, float],
-            report_b: dict, waits_b: dict[str, float]) -> dict:
-    """Density ratio, diameter and entropy differences, and the KS test over
-    per-account mean waits of two completed runs."""
+def compare(report_a: dict, report_b: dict) -> dict:
+    """How run a relates to run b in each compared ``analysis.MEASURES`` row,
+    and the KS test over their per-account mean waits, given the two runs'
+    ``report.json`` documents."""
+    waits_a, waits_b = (r.get("per_user_mean_waits") for r in (report_a, report_b))
     if not waits_a or not waits_b:
         raise ValueError("both runs need waiting-time samples")
     d, p = analysis.ks_two_sample(list(waits_a.values()), list(waits_b.values()))
-    ma, mb = report_a["metrics"], report_b["metrics"]
-    return {
-        "density_ratio": ma["density"] / mb["density"],
-        "diameter_difference": ma["diameter"] - mb["diameter"],
-        "entropy_difference": ma["ks_entropy"] - mb["ks_entropy"],
-        "ks": {"d": d, "p": p},
-    }
-
-
-def _load_report(path: Path) -> tuple[dict, dict[str, float]]:
-    doc = json.loads(path.read_text())
-    report = {"metrics": {
-        "density": doc["density"],
-        "diameter": doc["diameter"],
-        "ks_entropy": doc["ks_entropy"],
-    }}
-    return report, doc.get("per_user_mean_waits", {})
+    doc = {m.compare_key: m.relate(report_a[m.key], report_b[m.key])
+           for m in analysis.MEASURES if m.relate}
+    doc["ks"] = {"d": d, "p": p}
+    return doc
 
 
 def _add_schema_options(sub: argparse.ArgumentParser) -> None:
@@ -350,8 +338,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         config = _config_from_args(args)
     reports = run_pipeline(config)
     with _stage("write"):
-        for report in reports:
-            print(f"{report.provenance['log']}: {report.csv_row()}")
+        for name, values in reports.items():
+            print(f"{name}: {_csv_row(values)}")
     return 0
 
 
@@ -366,11 +354,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     with _stage("replay"):
         replays = stochastic.replay_log(net, log)
     with _stage("analyze"):
-        report, files, _ = measure(net, replays, config.entropy_log_base, {
+        values, files, _ = measure(net, replays, config.entropy_log_base, {
             "log": Path(args.input).stem, "recomputed_from": args.net})
     with _stage("write"):
         _write_run(Path(args.out), files)
-        print(report.csv_row())
+        print(_csv_row(values))
     return 0
 
 
@@ -390,10 +378,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     with _stage("load"):
-        report_a, waits_a = _load_report(Path(args.report_a))
-        report_b, waits_b = _load_report(Path(args.report_b))
+        reports = [json.loads(Path(p).read_text()) for p in (args.report_a, args.report_b)]
+        for report in reports:  # a report lacking a compared measure fails here
+            for m in analysis.MEASURES:
+                if m.relate and m.key not in report:
+                    raise KeyError(m.key)
     with _stage("compare"):
-        doc = compare(report_a, waits_a, report_b, waits_b)
+        doc = compare(*reports)
     with _stage("write"):
         if args.out:
             Path(args.out).write_text(_json_text(doc))

@@ -400,6 +400,45 @@ class _NetBuilder:
     def arc(self, src: str, dst: str) -> None:
         self.arcs.append((src, dst))
 
+    def build(self, node: ProcessTree, src: str, snk: str) -> None:
+        """Wire ``node`` from place ``src`` to ``snk``; a method, since a nested
+        closure would keep the whole builder alive as cyclic garbage."""
+        if node.kind in (ACTIVITY, TAU):
+            t = self.transition(node.label)
+            self.arc(src, t)
+            self.arc(t, snk)
+        elif node.kind == SEQ:
+            cur = src
+            for child in node.children[:-1]:
+                nxt = self.place()
+                self.build(child, cur, nxt)
+                cur = nxt
+            self.build(node.children[-1], cur, snk)
+        elif node.kind == XOR:
+            for child in node.children:
+                self.build(child, src, snk)
+        elif node.kind == PAR:
+            split, join = self.transition(None), self.transition(None)
+            self.arc(src, split)
+            self.arc(join, snk)
+            for child in node.children:
+                entry, exit_ = self.place(), self.place()
+                self.arc(split, entry)
+                self.arc(exit_, join)
+                self.build(child, entry, exit_)
+        elif node.kind == LOOP:
+            enter, leave = self.transition(None), self.transition(None)
+            head, tail = self.place(), self.place()
+            self.arc(src, enter)
+            self.arc(enter, head)
+            self.arc(tail, leave)
+            self.arc(leave, snk)
+            self.build(node.children[0], head, tail)
+            for redo in node.children[1:]:
+                self.build(redo, tail, head)
+        else:  # pragma: no cover - ProcessTree validates kinds
+            raise ValueError(node.kind)
+
 
 def tree_to_net(tree: ProcessTree) -> PetriNet:
     """Compile a process tree into a free-choice workflow net.
@@ -409,49 +448,8 @@ def tree_to_net(tree: ProcessTree) -> PetriNet:
     marked source place and a single sink place.
     """
     b = _NetBuilder()
-    source = b.place()
-    sink = b.place()
-
-    def build(node: ProcessTree, src: str, snk: str) -> None:
-        if node.kind in (ACTIVITY, TAU):
-            t = b.transition(node.label)
-            b.arc(src, t)
-            b.arc(t, snk)
-        elif node.kind == SEQ:
-            cur = src
-            for child in node.children[:-1]:
-                nxt = b.place()
-                build(child, cur, nxt)
-                cur = nxt
-            build(node.children[-1], cur, snk)
-        elif node.kind == XOR:
-            for child in node.children:
-                build(child, src, snk)
-        elif node.kind == PAR:
-            split = b.transition(None)
-            join = b.transition(None)
-            b.arc(src, split)
-            b.arc(join, snk)
-            for child in node.children:
-                entry, exit_ = b.place(), b.place()
-                b.arc(split, entry)
-                b.arc(exit_, join)
-                build(child, entry, exit_)
-        elif node.kind == LOOP:
-            enter = b.transition(None)
-            leave = b.transition(None)
-            head, tail = b.place(), b.place()
-            b.arc(src, enter)
-            b.arc(enter, head)
-            b.arc(tail, leave)
-            b.arc(leave, snk)
-            build(node.children[0], head, tail)
-            for redo in node.children[1:]:
-                build(redo, tail, head)
-        else:  # pragma: no cover - ProcessTree validates kinds
-            raise ValueError(node.kind)
-
-    build(tree, source, sink)
+    source, sink = b.place(), b.place()
+    b.build(tree, source, sink)
     return PetriNet(tuple(b.places), tuple(b.transitions), tuple(b.arcs),
                     b.labels, {source: 1})
 

@@ -12,7 +12,6 @@ from logutil import make_log
 from repostminer.analysis import (
     ChainConstructionError,
     MeasureError,
-    MetricsReport,
     density,
     diameter,
     ks_two_sample,
@@ -344,17 +343,3 @@ class TestKsTwoSample:
         b = rng.normal(loc=2.0, size=300)
         _, p = ks_two_sample(a, b)
         assert p < 1e-6
-
-
-class TestMetricsReport:
-    def test_csv_row_column_order(self):
-        report = MetricsReport(6, 5 / 30, 3, 4.0, 0.25, {"log": "x"})
-        assert MetricsReport.CSV_HEADER.split(",") == [
-            "nodes", "density", "diameter", "mean_wait_seconds", "ks_entropy"]
-        cells = report.csv_row().split(",")
-        assert cells[0] == "6" and cells[2] == "3"
-
-    def test_as_dict_roundtrip(self):
-        report = MetricsReport(6, 0.5, 3, 4.0, 0.25, {"log": "x"})
-        doc = report.as_dict()
-        assert doc["node_count"] == 6 and doc["provenance"]["log"] == "x"

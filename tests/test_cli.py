@@ -2,6 +2,7 @@ import ast
 import gc
 import json
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import repostminer
-from repostminer import cli
+from repostminer import analysis, cli
 from repostminer.cli import (
     PipelineConfig,
     PipelineError,
@@ -59,11 +60,11 @@ def run_discover(tmp_path, fixture_log, out="out"):
 class TestPipeline:
     def test_fixture_report_values(self, tmp_path, fixture_log):
         _, reports = run_discover(tmp_path, fixture_log)
-        report = reports[0]
-        assert report.node_count == 6
-        assert report.density == pytest.approx(5 / 30, abs=1e-12)
-        assert report.diameter == 3
-        assert report.mean_of_mean_wait_seconds == pytest.approx(4.0)
+        report = reports["fixture"]
+        assert report["node_count"] == 6
+        assert report["density"] == pytest.approx(5 / 30, abs=1e-12)
+        assert report["diameter"] == 3
+        assert report["mean_of_mean_wait_seconds"] == pytest.approx(4.0)
 
     def test_artifacts_written(self, tmp_path, fixture_log):
         config, _ = run_discover(tmp_path, fixture_log)
@@ -99,8 +100,7 @@ class TestPipeline:
             bot_score_column="score", timestamp_format="epoch",
             split_bot_scores=True)
         reports = run_pipeline(config)
-        assert [r.provenance["log"] for r in reports] == [
-            "bots-bot_high", "bots-bot_low"]
+        assert list(reports) == ["bots-bot_high", "bots-bot_low"]
         assert (tmp_path / "out" / "bots-bot_high" / "report.json").exists()
 
     def test_split_requires_scores(self, tmp_path, fixture_log):
@@ -122,6 +122,17 @@ class TestPipeline:
                      "--out", str(tmp_path / "flag_wins")])
         assert code == 0
         assert (tmp_path / "flag_wins" / "fixture" / "report.json").exists()
+
+    @pytest.mark.parametrize("inputs", ["data.csv", ["a.csv", 3]], ids=["string", "number"])
+    def test_config_inputs_must_be_a_list_of_paths(self, tmp_path, capsys, inputs):
+        # a string must not be split into one input per character
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"inputs": inputs}))
+        with pytest.raises(ValueError, match="'inputs' must be a list of paths"):
+            PipelineConfig.from_file(cfg)
+        assert main(["discover", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("discover: error in stage config: ValueError: 'inputs'")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -180,19 +191,83 @@ class TestExportDot:
 
 
 class TestCompare:
+    REPORT = {"density": 0.1, "diameter": 3, "ks_entropy": 0.5}
+
     def test_identical_runs(self):
-        report = {"metrics": {"density": 0.1, "diameter": 3, "ks_entropy": 0.5}}
-        waits = {"u1": 4.0, "u2": 9.0}
-        doc = compare(report, waits, report, dict(waits))
+        report = {**self.REPORT, "per_user_mean_waits": {"u1": 4.0, "u2": 9.0}}
+        doc = compare(report, json.loads(json.dumps(report)))
         assert doc["density_ratio"] == 1.0
         assert doc["diameter_difference"] == 0
         assert doc["entropy_difference"] == 0.0
         assert doc["ks"] == {"d": 0.0, "p": 1.0}
 
     def test_missing_waits_rejected(self):
-        report = {"metrics": {"density": 0.1, "diameter": 3, "ks_entropy": 0.5}}
         with pytest.raises(ValueError):
-            compare(report, {}, report, {"u": 1.0})
+            compare({**self.REPORT, "per_user_mean_waits": {}},
+                    {**self.REPORT, "per_user_mean_waits": {"u": 1.0}})
+
+    def test_relations_follow_run_order(self):
+        a = {"density": 0.3, "diameter": 2, "ks_entropy": 0.75,
+             "per_user_mean_waits": {"u": 1.0}}
+        b = {**self.REPORT, "per_user_mean_waits": {"u": 2.0}}
+        doc = compare(a, b)
+        assert doc["density_ratio"] == pytest.approx(3.0)
+        assert doc["diameter_difference"] == -1
+        assert doc["entropy_difference"] == 0.25
+
+
+class TestMeasureTable:
+    """Every reported and compared measure comes from ``analysis.MEASURES``,
+    in row order: one row is all it takes to add one."""
+
+    def run_and_compare(self, tmp_path, fixture_log, capsys):
+        """Discover the fixture, compare the run with itself; return the
+        report.json document, report.csv lines, printed row and compare.json."""
+        out = tmp_path / "out"
+        assert main(["discover", "--input", str(fixture_log), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        report = out / "fixture" / "report.json"
+        cmp_path = tmp_path / "cmp.json"
+        assert main(["compare", "--report-a", str(report), "--report-b", str(report),
+                     "--out", str(cmp_path)]) == 0
+        return (json.loads(report.read_text()),
+                (out / "fixture" / "report.csv").read_text().splitlines(),
+                printed, json.loads(cmp_path.read_text()))
+
+    def test_csv_header_is_the_table_columns_in_order(self, tmp_path, fixture_log,
+                                                      capsys):
+        _, (header, row), printed, _ = self.run_and_compare(tmp_path, fixture_log,
+                                                            capsys)
+        assert header.split(",") == [m.column for m in analysis.MEASURES] == [
+            "nodes", "density", "diameter", "mean_wait_seconds", "ks_entropy"]
+        assert row.split(",")[0] == "6" and row.split(",")[2] == "3"
+        assert printed == f"fixture: {row}\n"
+
+    def test_report_keys_are_the_table_keys(self, tmp_path, fixture_log, capsys):
+        doc, _, _, _ = self.run_and_compare(tmp_path, fixture_log, capsys)
+        assert set(doc) - {"provenance", "per_user_mean_waits"} == {
+            m.key for m in analysis.MEASURES}
+        assert doc["node_count"] == 6 and doc["provenance"]["log"] == "fixture"
+
+    def test_compare_keys_are_the_compared_rows_and_ks(self, tmp_path, fixture_log,
+                                                       capsys):
+        *_, doc = self.run_and_compare(tmp_path, fixture_log, capsys)
+        compared = {m.compare_key for m in analysis.MEASURES if m.relate}
+        assert compared == {"density_ratio", "diameter_difference",
+                            "entropy_difference"}
+        assert set(doc) == compared | {"ks"}
+
+    def test_one_row_adds_a_measure_everywhere(self, tmp_path, fixture_log, capsys,
+                                               monkeypatch):
+        arcs = analysis.Measure("arc_count", "arcs", lambda run: len(run.display.arcs),
+                                "arc_difference", operator.sub)
+        monkeypatch.setattr(analysis, "MEASURES", analysis.MEASURES + (arcs,))
+        doc, (header, row), printed, cmp = self.run_and_compare(tmp_path, fixture_log,
+                                                                capsys)
+        assert doc["arc_count"] == 5
+        assert header.endswith(",arcs") and row.endswith(",5")
+        assert printed == f"fixture: {row}\n"
+        assert cmp["arc_difference"] == 0
 
 
 class TestCommands:
@@ -538,7 +613,8 @@ class TestCollectorPause:
     def test_cyclic_garbage_does_not_grow_with_the_log(self, tmp_path, capsys):
         # the pause costs bounded memory only while a command leaves the same
         # cyclic garbage whatever the length of its log; over 100 accounts
-        # both logs discover the same flower, whose building leaves some
+        # both logs discover the same flower, and the JSON encoder's closures
+        # leave some for each file written
         small = organic_log(tmp_path / "small.csv", cascades=250, accounts=100)
         large = organic_log(tmp_path / "large.csv", cascades=4000, accounts=100)
         left = []

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -263,6 +264,22 @@ class TestTreeToNet:
         sinks = [p for p in net.places if not net.postset(p)]
         assert sources == ["p0"] and sinks == ["p1"]
         assert net.initial_marking == {"p0": 1}
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the builder must be freed by reference counting: with the collector
+        # paused, as during a CLI command, cyclic garbage would stay until the end
+        tree = seq(activity("A"), xor(activity("B"), tau()),
+                   par(activity("C"), loop(activity("D"), tau(), activity("E"))))
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            net = tree_to_net(tree)
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
+        assert {net.label(t) for t in net.transitions} == {"A", "B", "C", "D", "E", None}
 
     def test_flower_net_accepts_any_interleaving(self):
         net = tree_to_net(loop(tau(), activity("A"), activity("B")))
