@@ -16,7 +16,6 @@ import gc
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -43,25 +42,72 @@ def _stage(name: str) -> Iterator[None]:
         raise PipelineError(name, f"{type(exc).__name__}: {exc}") from exc
 
 
-@dataclass
-class PipelineConfig:
-    inputs: list[Path] = field(default_factory=list)
-    out_dir: Path = Path("out")
-    trace_column: str = "trace_id"
-    activity_column: str = "activity"
-    timestamp_column: str = "timestamp"
-    bot_score_column: str | None = None
-    delimiter: str = ","
-    timestamp_format: str = "iso8601"
-    max_events: int = 10
-    max_traces: int | None = None
-    noise_threshold: float = 0.2
-    split_bot_scores: bool = False
-    bot_high: float = 0.9
-    bot_low: float = 0.1
-    entropy_log_base: float | None = None
+# Each config-file key: the types ``json.load`` may give its value, and the
+# words an error message uses for them; a bool is no integer here.
+_CONFIG_KEYS = {
+    "inputs": ((list,), "a list of paths"),
+    "out_dir": ((str,), "a path"),
+    "trace_column": ((str,), "a string"),
+    "activity_column": ((str,), "a string"),
+    "timestamp_column": ((str,), "a string"),
+    "bot_score_column": ((str, type(None)), "a string or null"),
+    "delimiter": ((str,), "a string"),
+    "timestamp_format": ((str,), "a string"),
+    "max_events": ((int,), "an integer"),
+    "max_traces": ((int, type(None)), "an integer or null"),
+    "noise_threshold": ((int, float), "a number"),
+    "split_bot_scores": ((bool,), "true or false"),
+    "bot_high": ((int, float), "a number"),
+    "bot_low": ((int, float), "a number"),
+    "entropy_log_base": ((int, float, type(None)), "a number or null"),
+}
 
-    def __post_init__(self) -> None:
+
+class PipelineConfig:
+    """Settings of a ``discover`` run; mutable, and checked by :meth:`check`
+    when built and again once command-line flags are applied."""
+
+    __slots__ = tuple(_CONFIG_KEYS)
+
+    def __init__(self, inputs: list[Path] | None = None, out_dir: Path = Path("out"),
+                 trace_column: str = "trace_id", activity_column: str = "activity",
+                 timestamp_column: str = "timestamp", bot_score_column: str | None = None,
+                 delimiter: str = ",", timestamp_format: str = "iso8601",
+                 max_events: int = 10, max_traces: int | None = None,
+                 noise_threshold: float = 0.2, split_bot_scores: bool = False,
+                 bot_high: float = 0.9, bot_low: float = 0.1,
+                 entropy_log_base: float | None = None) -> None:
+        self.inputs = [] if inputs is None else inputs
+        self.out_dir = out_dir
+        self.trace_column = trace_column
+        self.activity_column = activity_column
+        self.timestamp_column = timestamp_column
+        self.bot_score_column = bot_score_column
+        self.delimiter = delimiter
+        self.timestamp_format = timestamp_format
+        self.max_events = max_events
+        self.max_traces = max_traces
+        self.noise_threshold = noise_threshold
+        self.split_bot_scores = split_bot_scores
+        self.bot_high = bot_high
+        self.bot_low = bot_low
+        self.entropy_log_base = entropy_log_base
+        self.check()
+
+    def _values(self) -> list:
+        return [getattr(self, key) for key in self.__slots__]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "PipelineConfig({})".format(", ".join(
+            f"{key}={value!r}" for key, value in zip(self.__slots__, self._values())))
+
+    def check(self) -> None:
+        """Raise ``ValueError`` unless the settings are consistent."""
         if not 0.0 <= self.noise_threshold <= 1.0:
             raise ValueError("noise threshold must lie in [0, 1]")
         if self.max_events < 1:
@@ -99,14 +145,21 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Path) -> "PipelineConfig":
+        """The config a JSON object of settings gives, each checked for
+        its JSON type, with the defaults for the keys it leaves out."""
         raw = json.loads(path.read_text())
-        unknown = set(raw) - {f.name for f in fields(cls)}
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config file holds a JSON object, got {raw!r}")
+        unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        inputs = raw.get("inputs", [])
-        if not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
-            raise ValueError(f"'inputs' must be a list of paths, got {inputs!r}")
-        raw["inputs"] = [Path(p) for p in inputs]
+        for key, value in raw.items():
+            types, expected = _CONFIG_KEYS[key]
+            if type(value) not in types or (
+                    key == "inputs" and not all(type(p) is str for p in value)):
+                raise ValueError(f"{key!r} must be {expected}, got {value!r}")
+        if "inputs" in raw:
+            raw["inputs"] = [Path(p) for p in raw["inputs"]]
         if "out_dir" in raw:
             raw["out_dir"] = Path(raw["out_dir"])
         return cls(**raw)
@@ -325,8 +378,10 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         "bot_low": args.bot_low,
         "entropy_log_base": args.entropy_log_base,
     }
-    # flags win over the config file; replace() runs its checks again
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    for key, value in overrides.items():
+        if value is not None:  # flags win over the config file
+            setattr(config, key, value)
+    config.check()
     _apply_schema(config, args)
     if not config.inputs:
         raise ValueError("at least one --input is required")

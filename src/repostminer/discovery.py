@@ -11,7 +11,6 @@ connected components by reachability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from .eventlog import Dfg, EventLog, dfg_from_sequences
@@ -30,26 +29,41 @@ LOOP = "loop"
 _OPERATOR_TOKENS = {SEQ: "->", XOR: "X", PAR: "/\\", LOOP: "*"}
 
 
-@dataclass(frozen=True)
 class ProcessTree:
     """Operator node over ordered children, or a single activity/tau leaf."""
 
-    kind: str
-    label: str | None = None
-    children: tuple["ProcessTree", ...] = ()
+    __slots__ = ("kind", "label", "children")
 
-    def __post_init__(self) -> None:
-        if self.kind == ACTIVITY:
-            if self.label is None or self.children:
+    def __init__(self, kind: str, label: str | None = None,
+                 children: tuple[ProcessTree, ...] = ()) -> None:
+        if kind == ACTIVITY:
+            if label is None or children:
                 raise ValueError("activity leaf needs a label and no children")
-        elif self.kind == TAU:
-            if self.label is not None or self.children:
+        elif kind == TAU:
+            if label is not None or children:
                 raise ValueError("tau leaf carries nothing")
-        elif self.kind in (SEQ, XOR, PAR, LOOP):
-            if self.label is not None or len(self.children) < 2:
-                raise ValueError(f"{self.kind} node needs >= 2 children")
+        elif kind in (SEQ, XOR, PAR, LOOP):
+            if label is not None or len(children) < 2:
+                raise ValueError(f"{kind} node needs >= 2 children")
         else:
-            raise ValueError(f"unknown node kind {self.kind!r}")
+            raise ValueError(f"unknown node kind {kind!r}")
+        self.kind = kind
+        self.label = label
+        self.children = children
+
+    def _values(self) -> tuple:
+        return self.kind, self.label, self.children
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"ProcessTree{self._values()!r}"
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -89,19 +103,30 @@ def format_tree(tree: ProcessTree) -> str:
     return f"{_OPERATOR_TOKENS[tree.kind]}({inner})"
 
 
-@dataclass(frozen=True)
 class Cut:
     """A partition of the alphabet with the operator that explains it."""
 
-    kind: str
-    partition: tuple[frozenset[str], ...]
+    __slots__ = ("kind", "partition")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, partition: tuple[frozenset[str], ...]) -> None:
         seen: set[str] = set()
-        for block in self.partition:
+        for block in partition:
             if not block or seen & block:
                 raise ValueError("cut blocks must be disjoint and nonempty")
             seen |= block
+        self.kind = kind
+        self.partition = partition
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.partition) == (other.kind, other.partition)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.partition))
+
+    def __repr__(self) -> str:
+        return f"Cut({self.kind!r}, {self.partition!r})"
 
 
 def filter_dfg(dfg: Dfg, threshold: float) -> Dfg:

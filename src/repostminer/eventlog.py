@@ -14,19 +14,14 @@ only for the traces kept; ``preprocess`` applies them to a log in memory.
 from __future__ import annotations
 
 import csv
-import logging
 import re
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
-
-logger = logging.getLogger(__name__)
-
 
 class SchemaError(ValueError):
     """The input columns or schema configuration do not match the data."""
@@ -42,15 +37,28 @@ class Event(NamedTuple):
     bot_score: float | None = None
 
 
-@dataclass(frozen=True)
 class Trace:
-    trace_id: str
-    events: tuple[Event, ...]
+    """The events of one original post, in time order."""
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.events, self.events[1:]):
+    __slots__ = ("trace_id", "events")
+
+    def __init__(self, trace_id: str, events: tuple[Event, ...]) -> None:
+        for a, b in zip(events, events[1:]):
             if b.timestamp < a.timestamp:
-                raise ValueError(f"trace {self.trace_id}: timestamps decrease")
+                raise ValueError(f"trace {trace_id}: timestamps decrease")
+        self.trace_id = trace_id
+        self.events = events
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.trace_id, self.events) == (other.trace_id, other.events)
+
+    def __hash__(self) -> int:
+        return hash((self.trace_id, self.events))
+
+    def __repr__(self) -> str:
+        return f"Trace({self.trace_id!r}, {self.events!r})"
 
     def __len__(self) -> int:
         return len(self.events)
@@ -66,16 +74,27 @@ class Trace:
         return tuple(e.activity for e in self.events)
 
 
-@dataclass(frozen=True)
 class EventLog:
     """A sequence of traces with unique ids; the activity universe is derived."""
 
-    traces: tuple[Trace, ...] = ()
+    __slots__ = ("traces",)
 
-    def __post_init__(self) -> None:
-        ids = [t.trace_id for t in self.traces]
+    def __init__(self, traces: tuple[Trace, ...] = ()) -> None:
+        ids = [t.trace_id for t in traces]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate trace ids in event log")
+        self.traces = traces
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.traces == other.traces
+
+    def __hash__(self) -> int:
+        return hash((self.traces,))
+
+    def __repr__(self) -> str:
+        return f"EventLog({self.traces!r})"
 
     @property
     def activity_universe(self) -> frozenset[str]:
@@ -95,7 +114,6 @@ class EventLog:
         return [t.activities() for t in self.traces]
 
 
-@dataclass(frozen=True)
 class LogSchema:
     """Column mapping and formats for delimiter-separated repost dumps.
 
@@ -104,23 +122,41 @@ class LogSchema:
     on individual rows.  ``delimiter`` is one character but no quote or line end.
     """
 
-    trace_id: str = "trace_id"
-    activity: str = "activity"
-    timestamp: str = "timestamp"
-    bot_score: str | None = None
-    delimiter: str = ","
-    timestamp_format: str = "iso8601"
+    __slots__ = ("trace_id", "activity", "timestamp", "bot_score", "delimiter",
+                 "timestamp_format")
 
-    def __post_init__(self) -> None:
-        if self.timestamp_format not in ("iso8601", "epoch"):
-            raise SchemaError(f"unknown timestamp format {self.timestamp_format!r}")
-        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+    def __init__(self, trace_id: str = "trace_id", activity: str = "activity",
+                 timestamp: str = "timestamp", bot_score: str | None = None,
+                 delimiter: str = ",", timestamp_format: str = "iso8601") -> None:
+        if timestamp_format not in ("iso8601", "epoch"):
+            raise SchemaError(f"unknown timestamp format {timestamp_format!r}")
+        if len(delimiter) != 1 or delimiter in '"\r\n':
             raise SchemaError(f"delimiter must be one character other than a quote "
-                              f"or line end, got {self.delimiter!r}")
+                              f"or line end, got {delimiter!r}")
+        self.trace_id = trace_id
+        self.activity = activity
+        self.timestamp = timestamp
+        self.bot_score = bot_score
+        self.delimiter = delimiter
+        self.timestamp_format = timestamp_format
+
+    def _values(self) -> tuple:
+        return (self.trace_id, self.activity, self.timestamp, self.bot_score,
+                self.delimiter, self.timestamp_format)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"LogSchema{self._values()!r}"
 
 
-@dataclass(frozen=True)
-class Dfg:
+class Dfg(NamedTuple):
     """Directly-follows statistics: adjacent-pair, start and end counts."""
 
     edge_counts: dict[tuple[str, str], int]
@@ -136,6 +172,13 @@ def _parse_iso8601(text: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
+
+
+def _warn(message: str, *args: object) -> None:
+    """Log a warning on this module's logger.  ``logging`` is imported here,
+    on the first rejected row, so that importing the package does not load it."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _check_caps(max_events: int | None, max_traces: int | None) -> None:
@@ -266,7 +309,7 @@ def parse_log(source: IO[str] | str | Path,
                         scores[cell] = bot_score
             except (ValueError, OverflowError) as exc:
                 rejected += 1
-                logger.warning("line %d: rejected row (%s)", lineno, exc)
+                _warn("line %d: rejected row (%s)", lineno, exc)
                 continue
             flat = by_trace.get(trace_id)
             if flat is None:
@@ -274,7 +317,7 @@ def parse_log(source: IO[str] | str | Path,
             flat += (timestamp, accounts.setdefault(activity, activity), bot_score)
 
     if rejected:
-        logger.warning("rejected %d of %d rows", rejected, lineno - 1 - blank)
+        _warn("rejected %d of %d rows", rejected, lineno - 1 - blank)
 
     traces = []
     for trace_id, flat in _earliest(list(by_trace.items()),
@@ -329,7 +372,7 @@ def preprocess(log: EventLog, max_events: int | None = 10,
     # Truncation keeps each trace's first event, so selecting first keys on
     # the same start times and rebuilds only the kept traces.
     kept = _earliest(log.traces, lambda t: t.start if t.events else 0, max_traces)
-    return EventLog(tuple(replace(t, events=t.events[:max_events]) for t in kept))
+    return EventLog(tuple(Trace(t.trace_id, t.events[:max_events]) for t in kept))
 
 
 def split_by_bot_score(log: EventLog, high: float = 0.9,

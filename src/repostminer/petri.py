@@ -8,7 +8,6 @@ can be explored with plain dict lookups.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, NamedTuple
 
 
@@ -24,11 +23,24 @@ class StateCapError(RuntimeError):
     """Reachability exploration exceeded the configured state cap."""
 
 
-@dataclass(frozen=True)
 class Marking:
     """Sparse token assignment: sorted (place, count) pairs, counts > 0."""
 
-    tokens: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: tuple[tuple[str, int], ...] = ()) -> None:
+        self.tokens = tokens
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tokens == other.tokens
+
+    def __hash__(self) -> int:
+        return hash((self.tokens,))
+
+    def __repr__(self) -> str:
+        return f"Marking({self.tokens!r})"
 
     @classmethod
     def of(cls, counts: Mapping[str, int]) -> "Marking":
@@ -56,42 +68,58 @@ class Marking:
         return "{" + ", ".join(f"{p}:{n}" for p, n in self.tokens) + "}"
 
 
-@dataclass(frozen=True)
 class PetriNet:
     """Places, transitions, plain arcs, labels and an initial marking.
 
     ``labels`` maps every transition id to its label or ``None`` for silent.
     Arcs connect places to transitions or transitions to places, once each.
-    ``kernel`` is the net compiled for firing, built once with the net; it
-    also holds the pre- and postsets.
+    ``initial_marking`` defaults to a new empty dict.  ``kernel`` is the net
+    compiled for firing, built once with the net; it also holds the pre- and
+    postsets.  Equality compares every field but ``kernel``.
     """
 
-    places: tuple[str, ...]
-    transitions: tuple[str, ...]
-    arcs: tuple[tuple[str, str], ...]
-    labels: Mapping[str, str | None]
-    initial_marking: Mapping[str, int] = field(default_factory=dict)
-    kernel: Kernel = field(init=False, repr=False, compare=False)
+    __slots__ = ("places", "transitions", "arcs", "labels", "initial_marking", "kernel")
 
-    def __post_init__(self) -> None:
-        pset, tset = set(self.places), set(self.transitions)
-        if len(pset) != len(self.places) or len(tset) != len(self.transitions):
+    def __init__(self, places: tuple[str, ...], transitions: tuple[str, ...],
+                 arcs: tuple[tuple[str, str], ...], labels: Mapping[str, str | None],
+                 initial_marking: Mapping[str, int] | None = None) -> None:
+        if initial_marking is None:
+            initial_marking = {}
+        pset, tset = set(places), set(transitions)
+        if len(pset) != len(places) or len(tset) != len(transitions):
             raise NetDefinitionError("duplicate node ids")
         if pset & tset:
             raise NetDefinitionError(f"places and transitions overlap: {pset & tset}")
-        if set(self.labels) != tset:
+        if set(labels) != tset:
             raise NetDefinitionError("labels must cover exactly the transitions")
-        if len(set(self.arcs)) != len(self.arcs):
+        if len(set(arcs)) != len(arcs):
             raise NetDefinitionError("duplicate arcs")
-        for src, dst in self.arcs:
+        for src, dst in arcs:
             if not ((src in pset and dst in tset) or (src in tset and dst in pset)):
                 raise NetDefinitionError(f"arc ({src}, {dst}) is not place<->transition")
-        for place, n in self.initial_marking.items():
+        for place, n in initial_marking.items():
             if place not in pset:
                 raise NetDefinitionError(f"marked place {place} does not exist")
             if n < 0:
                 raise NetDefinitionError(f"negative initial tokens at {place}")
-        object.__setattr__(self, "kernel", Kernel(self))
+        self.places = places
+        self.transitions = transitions
+        self.arcs = arcs
+        self.labels = labels
+        self.initial_marking = initial_marking
+        self.kernel = Kernel(self)
+
+    def _values(self) -> tuple:
+        return (self.places, self.transitions, self.arcs, self.labels,
+                self.initial_marking)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"PetriNet{self._values()!r}"
 
     def preset(self, node: str) -> tuple[str, ...]:
         return self.kernel.pre[node]
@@ -122,8 +150,7 @@ class RgEdge(NamedTuple):
     dst: int
 
 
-@dataclass(frozen=True)
-class ReachabilityGraph:
+class ReachabilityGraph(NamedTuple):
     """Markings reachable from the initial marking; state 0 is initial."""
 
     states: tuple[Marking, ...]

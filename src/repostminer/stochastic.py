@@ -15,9 +15,7 @@ import heapq
 import json
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import accumulate
-from statistics import mean, median
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .eventlog import Event, EventLog, Trace
@@ -35,20 +33,62 @@ class StatsError(ValueError):
     """Waiting-time statistics requested over no data."""
 
 
-@dataclass(frozen=True)
+def mean(values: Sequence[float]) -> float:
+    """``statistics.mean`` of ``values``, bit for bit, without importing it.
+
+    The finite values' exact sum, over the largest of their power-of-two
+    denominators, is divided once by that denominator times the count; the
+    int / int division rounds correctly, as ``statistics`` does on its exact
+    sum.  With an infinity or nan among the values the result is, as there,
+    the running sum of those alone divided by the count; which nan a sum of
+    two nans is depends on CPython's float addition, there as here.
+    """
+    num, den, special = 0, 1, 0
+    for x in values:
+        try:
+            n, d = x.as_integer_ratio()
+        except (OverflowError, ValueError):  # an infinity or nan
+            special += x
+            continue
+        if d > den:
+            num, den = num * (d // den), d
+        num += n * (den // d)
+    return special / len(values) if special else num / (den * len(values))
+
+
+def median(values: Iterable[float]) -> float:
+    """``statistics.median``: the middle value, or the two middle values'
+    mean, of the values sorted as ``statistics`` sorts them."""
+    data = sorted(values)
+    half = len(data) // 2
+    return data[half] if len(data) % 2 else (data[half - 1] + data[half]) / 2
+
+
 class EmpiricalDelay:
     """Observed waiting times of one transition, in seconds."""
 
-    samples: tuple[float, ...]
+    __slots__ = ("samples",)
 
-    def __post_init__(self) -> None:
-        if not self.samples:
+    def __init__(self, samples: tuple[float, ...]) -> None:
+        if not samples:
             raise ValueError("empirical delay needs at least one sample")
-        if any(s < 0 for s in self.samples):
+        if any(s < 0 for s in samples):
             raise ValueError("delays must be nonnegative")
+        self.samples = samples
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.samples == other.samples
+
+    def __hash__(self) -> int:
+        return hash((self.samples,))
+
+    def __repr__(self) -> str:
+        return f"EmpiricalDelay({self.samples!r})"
 
     def mean(self) -> float:
-        return float(mean(self.samples))
+        return mean(self.samples)
 
 
 class Firing(NamedTuple):
@@ -64,15 +104,13 @@ class Firing(NamedTuple):
         return max(0.0, self.fired_at - self.enabled_at)
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     trace_id: str
     firings: tuple[Firing, ...]
     conforming: bool
     failed_index: int | None = None
 
 
-@dataclass(frozen=True)
 class StochasticPetriNet:
     """Free-choice net plus per-place arc probabilities and empirical delays.
 
@@ -80,31 +118,45 @@ class StochasticPetriNet:
     silent transitions never carry a delay distribution.
     """
 
-    net: PetriNet
-    arc_probabilities: Mapping[tuple[str, str], float]
-    delay_distributions: Mapping[str, EmpiricalDelay]
+    __slots__ = ("net", "arc_probabilities", "delay_distributions")
 
-    def __post_init__(self) -> None:
-        if not is_free_choice(self.net):
+    def __init__(self, net: PetriNet,
+                 arc_probabilities: Mapping[tuple[str, str], float],
+                 delay_distributions: Mapping[str, EmpiricalDelay]) -> None:
+        if not is_free_choice(net):
             raise ValueError("underlying net must be free-choice")
-        arcs, transitions = set(self.net.arcs), set(self.net.transitions)
-        for (p, t), prob in self.arc_probabilities.items():
+        arcs, transitions = set(net.arcs), set(net.transitions)
+        for (p, t), prob in arc_probabilities.items():
             if (p, t) not in arcs:
                 raise ValueError(f"probability on missing arc ({p}, {t})")
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"probability {prob} outside [0, 1]")
-        for place in self.net.places:
-            outs = self.net.postset(place)
+        for place in net.places:
+            outs = net.postset(place)
             if not outs:
                 continue
-            total = sum(self.arc_probabilities.get((place, t), 0.0) for t in outs)
+            total = sum(arc_probabilities.get((place, t), 0.0) for t in outs)
             if abs(total - 1.0) > PROBABILITY_TOLERANCE:
                 raise ValueError(f"probabilities out of place {place} sum to {total}")
-        for t in self.delay_distributions:
+        for t in delay_distributions:
             if t not in transitions:
                 raise ValueError(f"delay for unknown transition {t}")
-            if self.net.is_silent(t):
+            if net.is_silent(t):
                 raise ValueError(f"silent transition {t} cannot carry delays")
+        self.net = net
+        self.arc_probabilities = arc_probabilities
+        self.delay_distributions = delay_distributions
+
+    def _values(self) -> tuple:
+        return self.net, self.arc_probabilities, self.delay_distributions
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"StochasticPetriNet{self._values()!r}"
 
 
 # A silent-path search result: (tau path, goal transition) for an event,
@@ -327,15 +379,13 @@ def enrich(net: PetriNet, log: EventLog) -> StochasticPetriNet:
     return enrich_from_replays(net, replay_log(net, log))
 
 
-@dataclass(frozen=True)
-class ActivityWaits:
+class ActivityWaits(NamedTuple):
     mean: float
     median: float
     count: int
 
 
-@dataclass(frozen=True)
-class WaitingStats:
+class WaitingStats(NamedTuple):
     """Per-account waiting summaries plus the mean of per-account means."""
 
     per_activity: dict[str, ActivityWaits]
@@ -354,9 +404,9 @@ def waiting_time_stats(replays: Sequence[ReplayResult]) -> WaitingStats:
                 waits.setdefault(firing.label, []).append(firing.wait)
     if not waits:
         raise StatsError("no conforming replay with observable firings")
-    per_activity = {a: ActivityWaits(float(mean(v)), float(median(v)), len(v))
+    per_activity = {a: ActivityWaits(mean(v), float(median(v)), len(v))
                     for a, v in sorted(waits.items())}
-    overall = float(mean(s.mean for s in per_activity.values()))
+    overall = mean([s.mean for s in per_activity.values()])
     return WaitingStats(per_activity, overall)
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +237,7 @@ class TestEntropy:
                 tuple((names[a], names[b]) for a, b in net.arcs),
                 {names[t]: net.label(t) for t in net.transitions},
                 {names[p]: n for p, n in net.initial_marking.items()})
-            moved = [replace(r, firings=tuple(f._replace(transition=names[f.transition])
+            moved = [r._replace(firings=tuple(f._replace(transition=names[f.transition])
                                               for f in r.firings)) for r in replays]
             assert replay_entropy(renamed, moved) == pytest.approx(
                 replay_entropy(net, replays), abs=1e-12)

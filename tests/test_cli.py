@@ -134,6 +134,28 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("discover: error in stage config: ValueError: 'inputs'")
 
+    @pytest.mark.parametrize("doc, message", [
+        ("tiny.csv", "a config file holds a JSON object, got 'tiny.csv'"),
+        ({"max_events": "10"}, "'max_events' must be an integer, got '10'"),
+        ({"max_events": True}, "'max_events' must be an integer, got True"),
+        ({"max_traces": 2.5}, "'max_traces' must be an integer or null, got 2.5"),
+        ({"out_dir": 5}, "'out_dir' must be a path, got 5"),
+        ({"split_bot_scores": "yes"}, "'split_bot_scores' must be true or false, got 'yes'"),
+        ({"noise_threshold": "0.2"}, "'noise_threshold' must be a number, got '0.2'"),
+        ({"bot_score_column": 1}, "'bot_score_column' must be a string or null, got 1"),
+        ({"entropy_log_base": [2]}, "'entropy_log_base' must be a number or null, got [2]"),
+    ], ids=["document", "string-int", "bool-int", "float-int", "path", "bool",
+            "number", "column", "log-base"])
+    def test_config_values_are_checked_key_by_key(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            PipelineConfig.from_file(cfg)
+        assert str(info.value) == message
+        assert main(["discover", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"discover: error in stage config: ValueError: {message}\n"
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"bogus": 1}))

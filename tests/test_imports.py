@@ -11,6 +11,9 @@ dead code.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,3 +123,15 @@ def test_private_scan_flags_only_what_is_never_loaded():
                                            (5, "_helper"), (8, "_Kept")]
     assert {"_TABLE", "_helper", "_Kept"} <= loaded_names(source)
     assert "_unused" not in loaded_names(source)
+
+
+def test_cli_import_loads_no_slow_stdlib_module():
+    # each of these costs milliseconds of every command's start-up; -S keeps
+    # the site hooks of the environment out of the count
+    slow = ("dataclasses", "inspect", "logging", "statistics", "fractions", "decimal")
+    code = f"import sys, repostminer.cli; print(sorted(set({slow!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n"

@@ -1,11 +1,15 @@
 import functools
+import math
 import random
+import statistics
+import struct
 import time
 from collections import deque
+from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logutil import make_log
@@ -28,6 +32,8 @@ from repostminer.stochastic import (
     enrich,
     fspn_from_json,
     fspn_to_json,
+    mean,
+    median,
     replay_log,
     replay_trace,
     simulate,
@@ -524,6 +530,30 @@ class TestWaitingStats:
             waiting_time_stats([])
 
 
+def same_float(a, b):
+    """Equal bits, or both nan.  CPython gives a nan sum the sign of either
+    nan operand, depending on whether the interpreter has specialised the
+    addition yet, so even ``statistics.mean`` varies there from call to call."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+EXTREMES = [math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestMeanMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from(EXTREMES), min_size=1, max_size=9))
+    @example([1.7976931348623157e308, 1.7976931348623157e308])  # the float sum overflows
+    @example([5e-324, 1.0, 3.0])  # a subnormal beside normals, odd length
+    @example([0.1, 0.2, 0.3, 5e-324])  # even length
+    @example([math.inf, -math.inf])
+    @example([1.0, math.nan, -math.inf])
+    def test_same_bits_as_statistics(self, values):
+        assert same_float(mean(values), statistics.mean(values))
+        assert same_float(median(values), statistics.median(values))
+
+
 class TestSimulate:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -583,6 +613,11 @@ class TestSimulate:
                                   {"t": EmpiricalDelay((1.0,))})
         log = simulate(fspn, 1, seed=0, max_firings=25)
         assert len(log.traces[0]) == 25
+
+    def test_uniform_fspn_shows_every_interleaving_of_a_par_block(self):
+        net = tree_to_net(par(activity("a"), activity("b"), activity("c")))
+        log = simulate(uniform_fspn(net), 300, seed=5)
+        assert {t.activities() for t in log} == set(permutations("abc"))
 
 
 def probabilities(weights):

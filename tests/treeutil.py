@@ -32,13 +32,18 @@ def random_tree(rng, labels="abcd", width=3, depth=2):
     return rng.choice((seq, xor, par, loop))(*children)
 
 
+SPREAD_DELAYS = (0.3, 1.0, 1.7, 2.9, 4.1)
+
+
 def uniform_fspn(net):
-    """The net with every choice uniform and every labeled delay 1 s."""
+    """The net with every choice uniform and every labeled delay drawn from
+    ``SPREAD_DELAYS``, so that a simulated parallel block shows more than
+    one interleaving (equal delays fire in transition id order)."""
     probabilities = {}
     for place in net.places:
         outs = net.postset(place)
         probabilities.update({(place, t): 1 / len(outs) for t in outs})
-    delays = {t: EmpiricalDelay((1.0,)) for t in net.transitions if not net.is_silent(t)}
+    delays = {t: EmpiricalDelay(SPREAD_DELAYS) for t in net.transitions if not net.is_silent(t)}
     return StochasticPetriNet(net, probabilities, delays)
 
 
