@@ -17,6 +17,7 @@ from repostminer import (
     ks_two_sample,
     replay_entropy,
     replay_log,
+    tally_replays,
     tree_to_net,
     waiting_time_stats,
 )
@@ -43,12 +44,12 @@ def population(rng, n_traces, shuffle, wait_range):
 
 def measure(name, log):
     net = tree_to_net(discover_tree(log, 0.2))
-    replays = replay_log(net, log)
-    stats = waiting_time_stats(replays)
+    tally = tally_replays(net, replay_log(net, log))
+    stats = waiting_time_stats(tally)
     print(f"{name}:")
     print(f"  tree: {format_tree(discover_tree(log, 0.2))[:70]}")
     print(f"  mean of per-account mean waits: {stats.mean_of_means:,.0f} s")
-    print(f"  Kolmogorov-Sinai entropy:       {replay_entropy(net, replays):.3f}")
+    print(f"  Kolmogorov-Sinai entropy:       {replay_entropy(tally):.3f}")
     return [s.mean for s in stats.per_activity.values()]
 
 

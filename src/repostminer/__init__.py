@@ -51,16 +51,19 @@ from .stochastic import (
     EnrichmentError,
     Firing,
     ReplayResult,
+    ReplayTally,
     StatsError,
     StochasticPetriNet,
     WaitingStats,
     enrich,
     enrich_from_replays,
+    enrich_from_tally,
     fspn_from_json,
     fspn_to_json,
     replay_log,
     replay_trace,
     simulate,
+    tally_replays,
     waiting_time_stats,
 )
 

@@ -3,9 +3,10 @@
 Density and diameter treat the net as a directed graph over places and
 transitions.  Behavior is summarized by the Kolmogorov-Sinai entropy of a
 Markov chain over the markings replays visit, each replay closed end-to-start;
-:func:`replay_entropy` takes it from visit counts, with no reachability graph
-or transition matrix.  A two-sample Kolmogorov-Smirnov test compares
-waiting-time samples between runs.  Every measure is plain Python.
+:func:`replay_entropy` takes it from the move counts of
+``stochastic.tally_replays``, with no reachability graph or transition
+matrix.  A two-sample Kolmogorov-Smirnov test compares waiting-time samples
+between runs.  Every measure is plain Python.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
 from .petri import PetriNet
-from .stochastic import ReplayResult, WaitingStats
+from .stochastic import ReplayTally, WaitingStats
 
 
 class MeasureError(ValueError):
@@ -62,9 +63,9 @@ def check_log_base(log_base: float | None) -> None:
                          f"got {log_base}")
 
 
-def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
-                   log_base: float | None = None) -> float:
-    """Kolmogorov-Sinai entropy of the replay chain over markings, in one pass.
+def replay_entropy(tally: ReplayTally, log_base: float | None = None) -> float:
+    """Kolmogorov-Sinai entropy of the replay chain over markings, from the
+    move counts of a tally of the replays.
 
     The chain moves between the markings the conforming replays visit, with
     probabilities estimated from move counts.  Every replay starts at the
@@ -72,34 +73,18 @@ def replay_entropy(net: PetriNet, replays: Sequence[ReplayResult],
     counts, the chain is regenerative and its stationary law is the
     normalised visit count (Kemeny & Snell, *Finite Markov Chains*): the
     entropy is ``sum n(s, s') * -log(n(s, s') / out(s)) / sum visits(s)``
-    over the moves counted between markings.  Natural logarithm by default;
-    pass ``log_base`` to rescale.  No reachability graph or matrix is built:
-    each move is a lookup in the net kernel's successor table, which the
-    replays filled.
+    over the moves counted between markings, summed in the order the moves
+    were first seen.  Natural logarithm by default; pass ``log_base`` to
+    rescale.  No reachability graph or matrix is built.
     """
     check_log_base(log_base)
-    conforming = [r for r in replays if r.conforming]
-    if not conforming:
+    if not tally.conforming:
         raise ChainConstructionError("no conforming replays to estimate the entropy from")
-
-    succ, successor, start = net.kernel.succ, net.kernel.successor, net.kernel.start
-    moves: Counter[tuple[frozenset, frozenset]] = Counter()
-    for result in conforming:
-        state = start
-        for firing in result.firings:
-            nxt = succ.get((state, firing.transition))
-            if nxt is None and (nxt := successor(state, firing.transition)) is None:
-                raise ValueError(f"replay of {result.trace_id} fires "
-                                 f"{firing.transition} where it is not enabled")
-            moves[state, nxt] += 1
-            state = nxt
-        moves[state, start] += 1  # the trace ends: close back to the start
-
     out_totals: Counter[frozenset] = Counter()
-    for (src, _), n in moves.items():
+    for (src, _), n in tally.moves.items():
         out_totals[src] += n
     weighted = 0.0
-    for (src, _), n in moves.items():
+    for (src, _), n in tally.moves.items():
         weighted -= n * math.log(n / out_totals[src])
     h = weighted / sum(out_totals.values())  # every visit departs once
     if log_base is not None:
@@ -140,11 +125,11 @@ def _kolmogorov_pvalue(lam: float) -> float:
 
 
 class MeasuredRun(NamedTuple):
-    """What a measure reads of one replayed run, its waiting stats computed once."""
+    """What a measure reads of one replayed run: the display net, the tally
+    of its replays and the waiting stats computed once from it."""
 
     display: PetriNet
-    net: PetriNet
-    replays: Sequence[ReplayResult]
+    tally: ReplayTally
     stats: WaitingStats
     log_base: float | None
 
@@ -172,6 +157,6 @@ MEASURES: tuple[Measure, ...] = (
     Measure("mean_of_mean_wait_seconds", "mean_wait_seconds",
             lambda run: run.stats.mean_of_means),
     Measure("ks_entropy", "ks_entropy",
-            lambda run: replay_entropy(run.net, run.replays, run.log_base),
+            lambda run: replay_entropy(run.tally, run.log_base),
             "entropy_difference", operator.sub),
 )

@@ -225,13 +225,15 @@ def _csv_row(values: dict[str, float]) -> str:
 
 
 def measure(net: petri.PetriNet, replays: list[stochastic.ReplayResult],
-            entropy_log_base: float | None, provenance: dict[str, object],
+            tally: stochastic.ReplayTally, entropy_log_base: float | None,
+            provenance: dict[str, object],
             ) -> tuple[dict[str, float], dict[str, str], petri.PetriNet]:
-    """Key -> value of each ``analysis.MEASURES`` row on a replayed net, file
-    name -> text of its reports, and the display net of the structural rows."""
+    """Key -> value of each ``analysis.MEASURES`` row on a replayed net, given
+    its replays and their tally, file name -> text of its reports, and the
+    display net of the structural rows."""
     display_net = discovery.reduce_net(net)
-    stats = stochastic.waiting_time_stats(replays)
-    run = analysis.MeasuredRun(display_net, net, replays, stats, entropy_log_base)
+    stats = stochastic.waiting_time_stats(tally)
+    run = analysis.MeasuredRun(display_net, tally, stats, entropy_log_base)
     values = {m.key: m.value(run) for m in analysis.MEASURES}
     waits = {a: s.mean for a, s in stats.per_activity.items()}
     failures = [{"trace_id": r.trace_id, "failed_index": r.failed_index}
@@ -286,10 +288,11 @@ def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
         net = discovery.tree_to_net(tree)
     with _stage("replay"):
         replays = stochastic.replay_log(net, log)
+        tally = stochastic.tally_replays(net, replays)
     with _stage("enrich"):
-        fspn = stochastic.enrich_from_replays(net, replays)
+        fspn = stochastic.enrich_from_tally(net, tally)
     with _stage("analyze"):
-        values, files, display_net = measure(net, replays, config.entropy_log_base, {
+        values, files, display_net = measure(net, replays, tally, config.entropy_log_base, {
             "log": name,
             "process_tree": discovery.format_tree(tree),
             "max_events": config.max_events,
@@ -408,8 +411,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     log = _read_log(Path(args.input), config)
     with _stage("replay"):
         replays = stochastic.replay_log(net, log)
+        tally = stochastic.tally_replays(net, replays)
     with _stage("analyze"):
-        values, files, _ = measure(net, replays, config.entropy_log_base, {
+        values, files, _ = measure(net, replays, tally, config.entropy_log_base, {
             "log": Path(args.input).stem, "recomputed_from": args.net})
     with _stage("write"):
         _write_run(Path(args.out), files)

@@ -2,9 +2,11 @@
 
 Token replay walks a trace over the net, routing through silent transitions
 where needed, and records for every firing when the transition became enabled
-and when it fired.  Those waits feed per-account delay distributions and arc
-probabilities estimated from token consumption; the replays' firings are also
-the marking visits that ``analysis.replay_entropy`` counts.  Simulation draws
+and when it fired.  One walk over the conforming replays' firings,
+:func:`tally_replays`, gathers what every later stage reads: the firing
+counts behind the arc probabilities, the waits behind the per-account delay
+distributions and waiting statistics, and the marking moves whose entropy
+``analysis.replay_entropy`` takes.  Simulation draws
 from numpy's PCG64 stream reimplemented in pure Python, so nothing here
 imports numpy.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from bisect import bisect_right
 from collections import Counter, deque
 from itertools import accumulate
@@ -72,8 +75,9 @@ class EmpiricalDelay:
     def __init__(self, samples: tuple[float, ...]) -> None:
         if not samples:
             raise ValueError("empirical delay needs at least one sample")
-        if any(s < 0 for s in samples):
-            raise ValueError("delays must be nonnegative")
+        for s in samples:
+            if not 0 <= s < math.inf:  # a nan fails this too
+                raise ValueError(f"delays must be finite and nonnegative, got {s!r}")
         self.samples = samples
 
     def __eq__(self, other: object) -> bool:
@@ -162,7 +166,8 @@ class StochasticPetriNet:
 # A silent-path search result: (tau path, goal transition) for an event,
 # (tau path, None) for completion, or None when no silent path exists.
 SilentPath = tuple[tuple[str, ...], str | None] | None
-Step = tuple[tuple[str, ...], str | None, frozenset] | None  # a SilentPath, state after
+# A SilentPath, the state after it and the transitions it fires (tau path, goal).
+Step = tuple[tuple[str, ...], str | None, frozenset, tuple[str, ...]] | None
 
 
 def _silent_path(kernel: Kernel, counts: dict[str, int],
@@ -242,26 +247,6 @@ def _descend(kernel: Kernel, completion: Completion,
     return tuple(path), None
 
 
-def _fire_timed(kernel: Kernel, tokens: dict[str, list[float]], t: str,
-                fired_at: float | None = None) -> tuple[float, float]:
-    """Consume the oldest token per input place; return (enabled_at, fired_at).
-
-    Silent transitions fire immediately at their enablement time and
-    propagate the consumed arrival times; labeled transitions stamp their
-    outputs with the observed firing time.
-    """
-    enabled_at = 0.0
-    for p in kernel.pre[t]:
-        if tokens[p][0] > enabled_at:
-            enabled_at = tokens[p][0]
-    for p in kernel.pure_in[t]:
-        heapq.heappop(tokens[p])
-    out_time = enabled_at if fired_at is None else fired_at
-    for p in kernel.pure_out[t]:
-        heapq.heappush(tokens.setdefault(p, []), out_time)
-    return enabled_at, out_time
-
-
 _UNSEEN = object()
 
 
@@ -281,7 +266,7 @@ def _step(kernel: Kernel, state: frozenset, goal: str | None) -> Step:
     if found is not None:
         path, target = found
         steps = path if target is None else path + (target,)
-        found = (path, target, kernel.successor(state, *steps, counts=counts))
+        found = (path, target, kernel.successor(state, *steps, counts=counts), steps)
     kernel.paths[state, goal] = found
     return found
 
@@ -306,31 +291,41 @@ def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
     state it leads to are memoized on the kernel by (state, account), with
     ``None`` for completion, and shared by every replay on the net; a goal
     search is also memoized by the marking of the places it tests.
+
+    Each place holds a heap of its tokens' arrival times.  A firing takes
+    the oldest token of each input place and is enabled when the latest of
+    those arrived; a silent firing happens at once and passes that time
+    on, a labeled one stamps its outputs with the event's timestamp.
     """
     kernel, state = net.kernel, net.kernel.start
-    start_time = float(trace.events[0].timestamp) if trace.events else 0.0
-    tokens = {p: [start_time] * n for p, n in net.initial_marking.items() if n > 0}
-
+    pre, pure_in, pure_out, labels = kernel.pre, kernel.pure_in, kernel.pure_out, net.labels
+    pop, push, new = heapq.heappop, heapq.heappush, tuple.__new__
+    events = trace.events
+    stamp = float(events[0].timestamp) if events else 0.0
+    tokens = {p: [stamp] * n for p, n in kernel.marked.items()}
     firings: list[Firing] = []
-
-    def fire_path(path: Iterable[str]) -> None:
-        for silent in path:
-            en, fired = _fire_timed(kernel, tokens, silent)
-            firings.append(Firing(silent, None, en, fired))
-
-    for index, event in enumerate(trace.events):
-        found = _step(kernel, state, event.activity)
+    add = firings.append
+    for index, event in enumerate((*events, None)):  # None: complete the trace
+        found = _step(kernel, state, None if event is None else event.activity)
         if found is None:
+            if event is None:
+                break
             return ReplayResult(trace.trace_id, tuple(firings), False, index)
-        path, target, state = found
-        fire_path(path)
-        enabled_at, fired_at = _fire_timed(kernel, tokens, target,
-                                           float(event.timestamp))
-        firings.append(Firing(target, event.activity, enabled_at, fired_at))
-
-    completion = _step(kernel, state, None)
-    if completion is not None:
-        fire_path(completion[0])
+        state, steps = found[2:]
+        if event is not None:
+            stamp = float(event.timestamp)
+        for t in steps:
+            enabled_at = 0.0
+            for p in pre[t]:
+                if tokens[p][0] > enabled_at:
+                    enabled_at = tokens[p][0]
+            for p in pure_in[t]:
+                pop(tokens[p])
+            label = labels[t]
+            fired_at = enabled_at if label is None else stamp
+            for p in pure_out[t]:
+                push(tokens.setdefault(p, []), fired_at)
+            add(new(Firing, (t, label, enabled_at, fired_at)))
     return ReplayResult(trace.trace_id, tuple(firings), True, None)
 
 
@@ -340,27 +335,76 @@ def replay_log(net: PetriNet, log: EventLog) -> list[ReplayResult]:
     return [replay_trace(net, trace) for trace in log.traces]
 
 
-def enrich_from_replays(net: PetriNet,
-                        replays: Sequence[ReplayResult]) -> StochasticPetriNet:
-    """Estimate arc probabilities and delay distributions from replays.
+class ReplayTally(NamedTuple):
+    """What the conforming replays of one net show, gathered in one walk.
+
+    ``fired`` counts each transition's firings; ``waits`` maps each labeled
+    transition that fired to its label and its clamped waits; ``moves``
+    counts the moves between markings, each replay closed back from its end
+    to the initial marking, in the order they were first seen.  Everything
+    is in replay order, then firing order.
+    """
+
+    conforming: int
+    fired: Counter[str]
+    waits: dict[str, tuple[str, list[float]]]
+    moves: dict[tuple[frozenset, frozenset], int]
+
+
+def tally_replays(net: PetriNet, replays: Iterable[ReplayResult]) -> ReplayTally:
+    """Walk the firings of the conforming replays once; nonconforming ones
+    are skipped.  A replay's markings are looked up in the successor table
+    of the net's kernel, which replaying on the net filled; ``ValueError``
+    if a replay fires a transition where it is not enabled."""
+    kernel = net.kernel
+    succ, successor, start = kernel.succ, kernel.successor, kernel.start
+    conforming = 0
+    # (state, transition) -> firings, with (state, None) the closing moves
+    steps: dict[tuple[frozenset, str | None], int] = {}
+    waits: dict[str, tuple[str, list[float]]] = {}
+    for result in replays:
+        if not result.conforming:
+            continue
+        conforming += 1
+        state = start
+        for t, label, enabled_at, fired_at in result.firings:
+            key = state, t
+            steps[key] = steps.get(key, 0) + 1
+            if label is not None:
+                if t not in waits:
+                    waits[t] = label, []
+                wait = fired_at - enabled_at
+                waits[t][1].append(wait if wait > 0.0 else 0.0)  # Firing.wait, nan too
+            if (state := succ.get(key)) is None and (state := successor(*key)) is None:
+                raise ValueError(f"replay of {result.trace_id} fires {t} where "
+                                 f"it is not enabled")
+        key = state, None
+        steps[key] = steps.get(key, 0) + 1
+    # A move is first seen at the first firing of one of its keys, so folding
+    # the keys in first-seen order keeps the moves' first-seen order.
+    fired: Counter[str] = Counter()
+    moves: dict[tuple[frozenset, frozenset], int] = {}
+    for (state, t), n in steps.items():
+        if t is None:
+            move = state, start
+        else:
+            fired[t] += n
+            move = state, succ[state, t]
+        moves[move] = moves.get(move, 0) + n
+    return ReplayTally(conforming, fired, waits, moves)
+
+
+def enrich_from_tally(net: PetriNet, tally: ReplayTally) -> StochasticPetriNet:
+    """Estimate arc probabilities and delay distributions from a tally.
 
     ``Pr(p, t)`` is the share of tokens consumed from ``p`` that went to
     ``t``; places never visited by any conforming replay fall back to a
-    uniform split.  Nonconforming replays are ignored.  A firing of ``t``
-    takes one token from each input place, so ``p`` gave ``t`` its firings.
+    uniform split.  A firing of ``t`` takes one token from each input place,
+    so ``p`` gave ``t`` its firings.
     """
-    conforming = [r for r in replays if r.conforming]
-    if not conforming:
+    if not tally.conforming:
         raise EnrichmentError("no conforming replay to enrich from")
-
-    fired: Counter[str] = Counter()
-    waits: dict[str, list[float]] = {}
-    for result in conforming:
-        for firing in result.firings:
-            fired[firing.transition] += 1
-            if firing.label is not None:
-                waits.setdefault(firing.transition, []).append(firing.wait)
-
+    fired = tally.fired
     probabilities: dict[tuple[str, str], float] = {}
     for place in net.places:
         outs = net.postset(place)
@@ -370,8 +414,14 @@ def enrich_from_replays(net: PetriNet,
         for t in outs:
             probabilities[(place, t)] = fired[t] / total if total else 1.0 / len(outs)
 
-    delays = {t: EmpiricalDelay(tuple(v)) for t, v in waits.items()}
+    delays = {t: EmpiricalDelay(tuple(v)) for t, (_, v) in tally.waits.items()}
     return StochasticPetriNet(net, probabilities, delays)
+
+
+def enrich_from_replays(net: PetriNet,
+                        replays: Sequence[ReplayResult]) -> StochasticPetriNet:
+    """:func:`enrich_from_tally` over the replays; nonconforming ones are ignored."""
+    return enrich_from_tally(net, tally_replays(net, replays))
 
 
 def enrich(net: PetriNet, log: EventLog) -> StochasticPetriNet:
@@ -392,16 +442,13 @@ class WaitingStats(NamedTuple):
     mean_of_means: float
 
 
-def waiting_time_stats(replays: Sequence[ReplayResult]) -> WaitingStats:
-    """Summarize waits per account; the headline number averages the
-    per-account means, so prolific accounts do not dominate."""
+def waiting_time_stats(tally: ReplayTally) -> WaitingStats:
+    """Summarize a tally's waits per account, the waits of transitions that
+    share a label together; the headline number averages the per-account
+    means, so prolific accounts do not dominate."""
     waits: dict[str, list[float]] = {}
-    for result in replays:
-        if not result.conforming:
-            continue
-        for firing in result.firings:
-            if firing.label is not None:
-                waits.setdefault(firing.label, []).append(firing.wait)
+    for label, samples in tally.waits.values():
+        waits.setdefault(label, []).extend(samples)
     if not waits:
         raise StatsError("no conforming replay with observable firings")
     per_activity = {a: ActivityWaits(mean(v), float(median(v)), len(v))

@@ -3,7 +3,28 @@ keyed by a frozenset of the marking that each event rebuilds from the
 token heaps.  The replay that memoizes on the net's kernel must give the
 same results, whatever replays ran on the net before."""
 
-from repostminer.stochastic import Firing, ReplayResult, _fire_timed, _silent_path
+import heapq
+
+from repostminer.stochastic import Firing, ReplayResult, _silent_path
+
+
+def _fire_timed(kernel, tokens, t, fired_at=None):
+    """Consume the oldest token per input place; return (enabled_at, fired_at).
+
+    Silent transitions fire immediately at their enablement time and
+    propagate the consumed arrival times; labeled transitions stamp their
+    outputs with the observed firing time.
+    """
+    enabled_at = 0.0
+    for p in kernel.pre[t]:
+        if tokens[p][0] > enabled_at:
+            enabled_at = tokens[p][0]
+    for p in kernel.pure_in[t]:
+        heapq.heappop(tokens[p])
+    out_time = enabled_at if fired_at is None else fired_at
+    for p in kernel.pure_out[t]:
+        heapq.heappush(tokens.setdefault(p, []), out_time)
+    return enabled_at, out_time
 
 
 def reference_replay_trace(net, trace, memo):

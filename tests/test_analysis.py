@@ -22,7 +22,7 @@ from repostminer.discovery import (ProcessTree, activity, loop, par, reduce_net,
 from repostminer.eventlog import EventLog, Trace
 from repostminer.petri import PetriNet
 from repostminer.reference_nets import broadcast_net, sequential_net
-from repostminer.stochastic import Firing, ReplayResult, replay_log, simulate
+from repostminer.stochastic import Firing, ReplayResult, replay_log, simulate, tally_replays
 from treeutil import process_trees, random_replays, random_tree, uniform_fspn
 
 
@@ -108,6 +108,11 @@ def replays_of(net, seqs):
     return replay_log(net, make_log(seqs))
 
 
+def entropy_of(net, replays, log_base=None):
+    """``replay_entropy`` of the tally of ``replays`` on ``net``."""
+    return replay_entropy(tally_replays(net, replays), log_base)
+
+
 def uniform_two_state_net():
     """p0 loops on a or moves on b to p1, which loops on c: the trace
     (a, b, c) and its closing move make every row 1/2 : 1/2."""
@@ -126,18 +131,18 @@ class TestMarkovChain:
         net = broadcast_net()
         replays = replays_of(net, [("A", "B", "C"), ("A", "B", "C"), ("A", "C", "B")])
         row = -2 / 3 * math.log(2 / 3) - 1 / 3 * math.log(1 / 3)
-        assert replay_entropy(net, replays) == pytest.approx(row * 3 / 12, abs=1e-12)
+        assert entropy_of(net, replays) == pytest.approx(row * 3 / 12, abs=1e-12)
 
     def test_end_state_closed_to_start(self):
         # the two closing moves count as departures: 8 of them, not 6
         net = broadcast_net()
         replays = replays_of(net, [("A", "B", "C"), ("A", "C", "B")])
-        assert replay_entropy(net, replays) == pytest.approx(math.log(2) / 4, abs=1e-12)
+        assert entropy_of(net, replays) == pytest.approx(math.log(2) / 4, abs=1e-12)
 
     def test_cycle_needs_no_closure(self):
         net = PetriNet(("p",), ("t",), (("p", "t"), ("t", "p")),
                        {"t": "a"}, {"p": 1})
-        assert replay_entropy(net, replays_of(net, [("a", "a"), ("a",)])) == 0.0
+        assert entropy_of(net, replays_of(net, [("a", "a"), ("a",)])) == 0.0
 
     def test_unvisited_states_dropped(self):
         # the C, D, E branch is never entered: its markings take no share
@@ -145,17 +150,17 @@ class TestMarkovChain:
         net = tree_to_net(xor(par(activity("A"), activity("B")),
                               seq(activity("C"), activity("D"), activity("E"))))
         replays = replays_of(net, [("A", "B"), ("B", "A")])
-        assert replay_entropy(net, replays) == pytest.approx(math.log(2) / 5, abs=1e-12)
+        assert entropy_of(net, replays) == pytest.approx(math.log(2) / 5, abs=1e-12)
 
     def test_no_conforming_replays(self):
         with pytest.raises(ChainConstructionError):
-            replay_entropy(broadcast_net(), [])
+            entropy_of(broadcast_net(), [])
 
     @pytest.mark.parametrize("log_base", [1, 0, -2, math.inf, math.nan])
     def test_bad_log_base_rejected(self, log_base):
         net = broadcast_net()
         with pytest.raises(ValueError, match="log base"):
-            replay_entropy(net, replays_of(net, [("A", "B", "C")]), log_base)
+            entropy_of(net, replays_of(net, [("A", "B", "C")]), log_base)
 
     def test_every_trace_closed(self):
         # (A, B) ends where the (A, B, C) traces pass through: its
@@ -164,7 +169,7 @@ class TestMarkovChain:
         replays = replay_log(net, make_log([("A", "B", "C")] * 3 + [("A", "B")] * 2))
         expected = (-0.6 * math.log(0.6) - 0.4 * math.log(0.4)) * 5 / 18
         assert expected == pytest.approx(0.186947685, abs=1e-9)
-        assert replay_entropy(net, replays) == pytest.approx(expected, abs=1e-12)
+        assert entropy_of(net, replays) == pytest.approx(expected, abs=1e-12)
 
 
 class TestStationary:
@@ -199,17 +204,17 @@ class TestStationary:
 class TestEntropy:
     def test_deterministic_cycle_zero(self):
         net = sequential_net()
-        assert replay_entropy(net, replays_of(net, [("A", "B", "C")] * 3)) == 0.0
+        assert entropy_of(net, replays_of(net, [("A", "B", "C")] * 3)) == 0.0
 
     def test_two_state_uniform_ln2(self):
         net = uniform_two_state_net()
-        assert replay_entropy(net, replays_of(net, [("a", "b", "c")])) == pytest.approx(
+        assert entropy_of(net, replays_of(net, [("a", "b", "c")])) == pytest.approx(
             math.log(2), abs=1e-12)
 
     def test_log_base_rescales(self):
         net = uniform_two_state_net()
         replays = replays_of(net, [("a", "b", "c")])
-        assert replay_entropy(net, replays, log_base=2) == pytest.approx(1.0, abs=1e-12)
+        assert entropy_of(net, replays, log_base=2) == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_by_log_out_degree(self):
         rng = random.Random(5)
@@ -218,7 +223,7 @@ class TestEntropy:
             if not any(r.conforming for r in replays):
                 continue
             out_degree = int((move_counts(net, replays) > 0).sum(axis=1).max())
-            assert 0.0 <= replay_entropy(net, replays) <= math.log(out_degree) + 1e-12
+            assert 0.0 <= entropy_of(net, replays) <= math.log(out_degree) + 1e-12
 
     def test_invariant_under_relabeling(self):
         # renaming and reordering places and transitions keeps every marking
@@ -239,8 +244,8 @@ class TestEntropy:
                 {names[p]: n for p, n in net.initial_marking.items()})
             moved = [r._replace(firings=tuple(f._replace(transition=names[f.transition])
                                               for f in r.firings)) for r in replays]
-            assert replay_entropy(renamed, moved) == pytest.approx(
-                replay_entropy(net, replays), abs=1e-12)
+            assert entropy_of(renamed, moved) == pytest.approx(
+                entropy_of(net, replays), abs=1e-12)
 
 
 class TestReplayEntropy:
@@ -257,23 +262,23 @@ class TestReplayEntropy:
         replays = replay_log(net, EventLog(tuple(traces)))
         assume(any(r.conforming for r in replays))
         for base in (None, 2):
-            assert replay_entropy(net, replays, base) == pytest.approx(
+            assert entropy_of(net, replays, base) == pytest.approx(
                 dense_entropy(net, replays, base), abs=1e-9)
 
     def test_nonconforming_replays_ignored(self):
         net = broadcast_net()
         replays = replay_log(net, make_log([("A", "B", "C"), ("B",)]))
-        assert replay_entropy(net, replays) == 0.0
+        assert entropy_of(net, replays) == 0.0
 
     def test_no_conforming_replays(self):
         net = broadcast_net()
         with pytest.raises(ChainConstructionError):
-            replay_entropy(net, replay_log(net, make_log([("B",)])))
+            entropy_of(net, replay_log(net, make_log([("B",)])))
 
     def test_firing_outside_the_net_rejected(self):
         replays = replay_log(broadcast_net(), make_log([("A", "C", "B")]))
         with pytest.raises(ValueError, match="C where it is not enabled"):
-            replay_entropy(sequential_net(), replays)
+            entropy_of(sequential_net(), replays)
 
     def test_disabled_firing_rejected_on_a_warm_kernel(self):
         net = sequential_net()
@@ -282,7 +287,7 @@ class TestReplayEntropy:
         bad = ReplayResult("bad", (Firing("A", "A", 0.0, 0.0), Firing("C", "C", 0.0, 1.0)),
                            True)
         with pytest.raises(ValueError, match="replay of bad fires C where it is not enabled"):
-            replay_entropy(net, good + [bad])
+            entropy_of(net, good + [bad])
         after_a = kernel.succ[kernel.start, "A"]
         assert (after_a, "C") not in kernel.succ
         assert kernel.successor(after_a, "C") is None

@@ -471,6 +471,21 @@ class TestFailures:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{command}: error in stage load: ")
 
+    @pytest.mark.parametrize("sample", [math.nan, math.inf])
+    def test_simulate_non_finite_delay_fails_in_load(self, tmp_path, capsys, sample):
+        doc = json.loads(fspn_to_json(threshold_fspn()))
+        doc["delay_distributions"]["B"][0] = sample  # json writes NaN, Infinity
+        fspn = tmp_path / "fspn.json"
+        fspn.write_text(json.dumps(doc))
+        sim = tmp_path / "sim.csv"
+        assert main(["simulate", "--fspn", str(fspn), "--n-traces", "2",
+                     "--seed", "1", "--out", str(sim)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("simulate: error in stage load: ValueError: delays must be "
+                              "finite and nonnegative")
+        assert not sim.exists()
+
     @pytest.mark.parametrize("command, flags", [
         pytest.param("discover", ["--max-traces", "0"], id="discover"),
         pytest.param("analyze", ["--max-traces", "0"], id="analyze"),

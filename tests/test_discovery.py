@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import refcut
@@ -27,7 +27,8 @@ from repostminer.discovery import (
 )
 from repostminer.eventlog import Dfg, EventLog, dfg_from_sequences
 from repostminer.petri import is_free_choice, tau_free_language
-from repostminer.stochastic import replay_trace
+from repostminer.stochastic import replay_trace, simulate
+from treeutil import bounded_language, directly_follows, in_lc, lc_trees, uniform_fspn
 
 
 class TestFilterDfg:
@@ -316,6 +317,38 @@ class TestRediscoveryFitness:
                 n = rng.randrange(1, 8)
                 seqs.append(tuple(rng.choice(alphabet) for _ in range(n)))
             assert rediscovery_fitness(seqs), (round_no, seqs)
+
+
+class TestRediscovery:
+    @given(lc_trees(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_lc_tree_language_rediscovered(self, tree, seed):
+        # From a log of a tree in Lc that shows every directly-follows pair
+        # of the tree, discovery gives back a tree of the same language.
+        # 400 traces with spread delays almost always show them all.
+        assert in_lc(tree)
+        source = tree_to_net(tree)
+        log = simulate(uniform_fspn(source), 400, seed=seed)
+        dfg = dfg_from_sequences(log.sequences())
+        assume((set(dfg.edge_counts), set(dfg.start_counts), set(dfg.end_counts))
+               == directly_follows(tree))
+        found = discover_tree(log, threshold=0)
+        assert bounded_language(tree_to_net(found)) == bounded_language(source), (
+            format_tree(tree), format_tree(found))
+
+    @pytest.mark.parametrize("tree", [
+        loop(activity("a"), activity("b")),
+        loop(activity("a"), activity("b"), activity("c")),
+        seq(activity("c"), loop(activity("a"), activity("b")), activity("d")),
+        xor(loop(activity("a"), activity("b")), activity("c")),
+    ], ids=format_tree)
+    def test_one_activity_loop_body_rediscovered(self, tree):
+        # Outside Lc, as the body starts and ends alike, yet rediscovered:
+        # a and b follow each other both ways here, and only the parallel
+        # cut's need of a start and an end in every block rejects /\(a, b).
+        found = discover_tree(simulate(uniform_fspn(tree_to_net(tree)), 400, seed=3),
+                              threshold=0)
+        assert format_tree(found) == format_tree(tree)
 
 
 class TestReduceNet:

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 import statistics
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from logutil import make_log
 from refreplay import reference_replay_log
-from repostminer.analysis import replay_entropy
+from reftally import reference_enrich, reference_entropy, reference_waiting_stats
+from repostminer.analysis import ChainConstructionError, replay_entropy
 from repostminer.discovery import activity, discover_tree, par, seq, tree_to_net
 from repostminer.eventlog import Event, EventLog, Trace
 from repostminer.petri import (PetriNet, StateCapError, is_block_structured, net_from_json,
@@ -30,6 +32,7 @@ from repostminer.stochastic import (
     _silent_path,
     _Stream,
     enrich,
+    enrich_from_tally,
     fspn_from_json,
     fspn_to_json,
     mean,
@@ -37,6 +40,7 @@ from repostminer.stochastic import (
     replay_log,
     replay_trace,
     simulate,
+    tally_replays,
     waiting_time_stats,
 )
 from treeutil import process_trees, random_tree, uniform_fspn
@@ -182,7 +186,8 @@ class TestMemoizedReplay:
             replays, reference = replay_log(net, log), reference_replay_log(fresh, log)
             assert replays == reference
             if any(r.conforming for r in replays):
-                assert replay_entropy(net, replays) == replay_entropy(fresh, reference)
+                assert (replay_entropy(tally_replays(net, replays))
+                        == replay_entropy(tally_replays(fresh, reference)))
         # A goal search memoized by the marking of the places it tests is
         # the search from the full marking.
         kernel = net.kernel
@@ -479,6 +484,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             EmpiricalDelay((1.0, -2.0))
 
+    @pytest.mark.parametrize("sample", [math.nan, math.inf])
+    def test_fspn_json_with_a_non_finite_delay_rejected(self, sample):
+        # json writes and reads NaN and Infinity; simulating such a delay never
+        # ended (nan) or overflowed while building events (inf)
+        net = PetriNet(("p0", "p1"), ("a",), (("p0", "a"), ("a", "p1")),
+                       {"a": "A"}, {"p0": 1})
+        doc = json.loads(fspn_to_json(StochasticPetriNet(
+            net, {("p0", "a"): 1.0}, {"a": EmpiricalDelay((1.0,))})))
+        doc["delay_distributions"]["a"] = [2.0, sample]
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {sample!r}"):
+            fspn_from_json(json.dumps(doc))
+
     def test_probabilities_must_sum_to_one(self):
         net = threshold_fspn().net
         with pytest.raises(ValueError, match="sum"):
@@ -502,18 +519,21 @@ class TestWaitingStats:
             replay_trace(net, timed_trace([("A", 0), ("B", 0), ("C", 1)], "3")),
         ]
         # B waits {5, 7, 0}? no: trace 3's B waits 0; keep to the derived case
-        stats = waiting_time_stats(replays[:2])
+        stats = waiting_time_stats(tally_replays(net, replays[:2]))
         assert stats.per_activity["B"].mean == pytest.approx(6.0)
         assert stats.mean_of_means == pytest.approx(3.0)
 
     def test_spec_arithmetic(self):
         # one account waiting {5, 7}, another {1}: mean of means is 3.5
+        net = PetriNet(("p0", "p1", "p2"), ("tB", "tC"),
+                       (("p0", "tB"), ("tB", "p1"), ("p1", "tC"), ("tC", "p2")),
+                       {"tB": "B", "tC": "C"}, {"p0": 1})
         replays = [
             ReplayResult("1", (Firing("tB", "B", 0, 5), Firing("tC", "C", 0, 1)),
                          True),
             ReplayResult("2", (Firing("tB", "B", 0, 7),), True),
         ]
-        stats = waiting_time_stats(replays)
+        stats = waiting_time_stats(tally_replays(net, replays))
         assert stats.per_activity["B"].mean == pytest.approx(6.0)
         assert stats.per_activity["B"].median == pytest.approx(6.0)
         assert stats.per_activity["C"].count == 1
@@ -522,12 +542,98 @@ class TestWaitingStats:
     def test_single_wait(self):
         net = sequential_net()
         replays = [replay_trace(net, timed_trace([("A", 0), ("B", 42)], "1"))]
-        stats = waiting_time_stats(replays)
+        stats = waiting_time_stats(tally_replays(net, replays))
         assert stats.per_activity["B"].mean == 42
 
     def test_no_data_raises(self):
         with pytest.raises(StatsError):
-            waiting_time_stats([])
+            waiting_time_stats(tally_replays(sequential_net(), []))
+
+
+def outcome(compute):
+    """What ``compute()`` returns, or the type and message of what it raises."""
+    try:
+        return compute()
+    except (EnrichmentError, StatsError, ChainConstructionError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_tally_equals_reference(net, replays):
+    """Enrichment, waiting stats and entropy from one tally equal, exactly,
+    those of the reference's own walks, or fail with the same error."""
+    tally = tally_replays(net, replays)
+    got = outcome(lambda: enrich_from_tally(net, tally))
+    expected = outcome(lambda: reference_enrich(net, replays))
+    if isinstance(expected, StochasticPetriNet):
+        assert got.arc_probabilities == expected.arc_probabilities
+        assert ({t: d.samples for t, d in got.delay_distributions.items()}
+                == {t: d.samples for t, d in expected.delay_distributions.items()})
+    else:
+        assert got == expected
+    assert (outcome(lambda: waiting_time_stats(tally))
+            == outcome(lambda: reference_waiting_stats(replays)))
+    for base in (None, 2):
+        assert (outcome(lambda: replay_entropy(tally, base))
+                == outcome(lambda: reference_entropy(net, replays, base)))
+
+
+# Labels repeat: t1, t3 and t4 are all "a", and s routes p1 to p2 silently.
+REPEATED_LABELS = PetriNet(
+    ("p0", "p1", "p2", "p3"), ("t1", "t2", "t3", "s", "t4"),
+    (("p0", "t1"), ("t1", "p1"), ("p1", "t2"), ("t2", "p2"), ("p1", "t3"), ("t3", "p2"),
+     ("p1", "s"), ("s", "p2"), ("p2", "t4"), ("t4", "p3")),
+    {"t1": "a", "t2": "b", "t3": "a", "s": None, "t4": "a"}, {"p0": 1})
+
+
+class TestTally:
+    @given(process_trees("abcdef", width=4), st.integers(0, 2**32 - 1),
+           st.integers(1, 12), EDITS)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_reference_walks(self, tree, seed, n_traces, edits):
+        net = tree_to_net(tree)
+        log = edited_log(uniform_fspn(net), seed, n_traces, edits, max_firings=60)
+        assert_tally_equals_reference(net, replay_log(net, log))
+
+    @given(st.lists(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 50)),
+                             max_size=4), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_labels_equal_reference_walks(self, traces):
+        log = make_log([[(a, sum(gap for _, gap in trace[:i + 1]))
+                         for i, (a, _) in enumerate(trace)] for trace in traces])
+        replays = replay_log(REPEATED_LABELS, log)
+        assert_tally_equals_reference(REPEATED_LABELS, replays)
+
+    def test_repeated_label_waits_pool_across_transitions(self):
+        log = make_log([[("a", 0), ("a", 4), ("a", 10)], [("a", 1), ("b", 3), ("a", 8)]])
+        tally = tally_replays(REPEATED_LABELS, replay_log(REPEATED_LABELS, log))
+        assert tally.waits == {"t1": ("a", [0.0, 0.0]), "t3": ("a", [4.0]),
+                               "t4": ("a", [6.0, 5.0]), "t2": ("b", [2.0])}
+        assert waiting_time_stats(tally).per_activity["a"] == (3.0, 4.0, 5)
+
+    def test_waits_clamp_as_firing_wait(self):
+        # a replayed trace never waits less than zero, as its timestamps never
+        # decrease; hand-built firings may, or wait nan
+        firings = (Firing("t1", "a", 5.0, 3.0), Firing("t3", "a", 1.0, math.nan))
+        replays = [ReplayResult("x", firings, True)]
+        tally = tally_replays(REPEATED_LABELS, replays)
+        assert tally.waits == {"t1": ("a", [0.0]), "t3": ("a", [0.0])}
+        assert [f.wait for f in firings] == [0.0, 0.0]
+        assert_tally_equals_reference(REPEATED_LABELS, replays)
+
+    def test_moves_keep_first_seen_order(self):
+        net = broadcast_net()
+        replays = replay_log(net, make_log([("A", "C", "B"), ("A", "B", "C")]))
+        tally = tally_replays(net, replays)
+        after = [[f.transition for f in r.firings] for r in replays]
+        assert after == [["A", "C", "B"], ["A", "B", "C"]]
+        kernel = net.kernel
+        a = kernel.succ[kernel.start, "A"]
+        ac, ab = kernel.succ[a, "C"], kernel.succ[a, "B"]
+        end = kernel.succ[ac, "B"]
+        assert list(tally.moves.items()) == [
+            ((kernel.start, a), 2), ((a, ac), 1), ((ac, end), 1), ((end, kernel.start), 2),
+            ((a, ab), 1), ((ab, end), 1)]
+        assert tally.fired == {"A": 2, "C": 2, "B": 2}
 
 
 def same_float(a, b):

@@ -1,9 +1,13 @@
 """Shared helpers for tests over random process trees and their nets."""
 
+from collections import deque
+
 from hypothesis import strategies as st
 
-from repostminer.discovery import activity, loop, par, seq, tau, tree_to_net, xor
+from repostminer.discovery import (ACTIVITY, LOOP, PAR, SEQ, XOR, activity, loop, par, seq, tau,
+                                   tree_to_net, xor)
 from repostminer.eventlog import EventLog, Trace
+from repostminer.petri import enabled, fire
 from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet, replay_log, simulate
 
 
@@ -19,6 +23,107 @@ def process_trees(labels="abcd", width=3):
                 | two_or_more.map(lambda c: loop(c[0], *c[1:])))
 
     return operators(st.recursive(leaves, operators, max_leaves=3))
+
+
+def _leaves(shape):
+    return 1 if shape is None else sum(map(_leaves, shape[1]))
+
+
+def _alphabet(tree):
+    return {tree.label} if tree.kind == ACTIVITY else set().union(*map(_alphabet, tree.children))
+
+
+def directly_follows(tree):
+    """The directly-follows pairs, start and end activities of the traces of
+    a tree without tau leaves, as sets."""
+    if tree.kind == ACTIVITY:
+        return set(), {tree.label}, {tree.label}
+    parts = [directly_follows(child) for child in tree.children]
+    edges = set().union(*(e for e, _, _ in parts))
+    starts = set().union(*(s for _, s, _ in parts))
+    ends = set().union(*(e for _, _, e in parts))
+    if tree.kind == SEQ:
+        for (_, _, before), (_, after, _) in zip(parts, parts[1:]):
+            edges |= {(a, b) for a in before for b in after}
+        starts, ends = parts[0][1], parts[-1][2]
+    elif tree.kind == PAR:
+        alphabets = [_alphabet(child) for child in tree.children]
+        edges |= {(a, b) for i, x in enumerate(alphabets) for j, y in enumerate(alphabets)
+                  if i != j for a in x for b in y}
+    elif tree.kind == LOOP:
+        _, starts, ends = parts[0]
+        for _, redo_starts, redo_ends in parts[1:]:
+            edges |= {(a, b) for a in ends for b in redo_starts}
+            edges |= {(a, b) for a in redo_ends for b in starts}
+    return edges, starts, ends
+
+
+def in_lc(tree):
+    """True iff no loop body of ``tree`` can start and end with the same
+    activity; with distinct labels and no tau leaves that puts a tree in the
+    class Lc that the inductive miner rediscovers from any log whose
+    directly-follows graph is the tree's (Leemans, Fahland & van der Aalst,
+    "Discovering block-structured process models from event logs - a
+    constructive approach", Petri Nets 2013)."""
+    if tree.kind == ACTIVITY:
+        return True
+    if tree.kind == LOOP:
+        _, starts, ends = directly_follows(tree.children[0])
+        if starts & ends:
+            return False
+    return all(map(in_lc, tree.children))
+
+
+def _shapes(depth):
+    """Tree shapes of at most ``depth`` operator levels: ``None`` for a leaf,
+    ``(kind, children)`` for an operator of 2 or 3 children.  A loop body is
+    a sequence, so with distinct labels its start and end activities differ."""
+    below = st.none() if depth == 1 else st.none() | _shapes(depth - 1)
+    shapes = st.tuples(st.sampled_from((SEQ, XOR, PAR)),
+                       st.lists(below, min_size=2, max_size=3))
+    if depth > 1:
+        body = _shapes(depth - 1).map(lambda shape: (SEQ, shape[1]))
+        shapes |= st.tuples(st.just(LOOP), st.tuples(body, st.lists(below, min_size=1, max_size=2))
+                            .map(lambda parts: [parts[0], *parts[1]]))
+    return shapes
+
+
+def lc_trees(labels="abcdef", depth=3):
+    """Process trees in Lc (see :func:`in_lc`) of at most ``depth`` operator
+    levels, each leaf a distinct one of ``labels``; every loop body is a
+    sequence, which leaves out Lc's loops over choices or parallel blocks
+    of sequences."""
+    build = {SEQ: seq, XOR: xor, PAR: par, LOOP: loop}
+
+    def tree(shape, names):
+        if shape is None:
+            return activity(next(names))
+        kind, children = shape
+        return build[kind](*(tree(child, names) for child in children))
+
+    shapes = _shapes(depth).filter(lambda shape: _leaves(shape) <= len(labels))
+    return st.tuples(shapes, st.permutations(labels)).map(
+        lambda drawn: tree(drawn[0], iter(drawn[1])))
+
+
+def bounded_language(net, bound=7):
+    """The label sequences of at most ``bound`` labels along the firing
+    sequences from the initial marking to a dead one: a breadth-first search
+    over ``petri.enabled`` and ``fire``, silent firings adding no label."""
+    first = (net.initial(), ())
+    seen, queue, words = {first}, deque([first]), set()
+    while queue:
+        marking, word = queue.popleft()
+        steps = enabled(net, marking)
+        if not steps:
+            words.add(word)
+        for t in steps:
+            label = net.label(t)
+            after = (fire(net, marking, t), word if label is None else word + (label,))
+            if len(after[1]) <= bound and after not in seen:
+                seen.add(after)
+                queue.append(after)
+    return frozenset(words)
 
 
 def random_tree(rng, labels="abcd", width=3, depth=2):
