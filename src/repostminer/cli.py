@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import analysis, discovery, eventlog, petri, stochastic
+from .record import Record
 
 DEFAULT_SEED = 42
 
@@ -42,78 +43,53 @@ def _stage(name: str) -> Iterator[None]:
         raise PipelineError(name, f"{type(exc).__name__}: {exc}") from exc
 
 
-# Each config-file key: the types ``json.load`` may give its value, and the
-# words an error message uses for them; a bool is no integer here.
+# Each config-file key: its default, the types ``json.load`` may give its
+# value, and the words an error message uses for them; a bool is no integer
+# here.  The default ``None`` of ``inputs`` stands for a new empty list.
 _CONFIG_KEYS = {
-    "inputs": ((list,), "a list of paths"),
-    "out_dir": ((str,), "a path"),
-    "trace_column": ((str,), "a string"),
-    "activity_column": ((str,), "a string"),
-    "timestamp_column": ((str,), "a string"),
-    "bot_score_column": ((str, type(None)), "a string or null"),
-    "delimiter": ((str,), "a string"),
-    "timestamp_format": ((str,), "a string"),
-    "max_events": ((int,), "an integer"),
-    "max_traces": ((int, type(None)), "an integer or null"),
-    "noise_threshold": ((int, float), "a number"),
-    "split_bot_scores": ((bool,), "true or false"),
-    "bot_high": ((int, float), "a number"),
-    "bot_low": ((int, float), "a number"),
-    "entropy_log_base": ((int, float, type(None)), "a number or null"),
+    "inputs": (None, (list,), "a list of paths"),
+    "out_dir": (Path("out"), (str,), "a path"),
+    "trace_column": ("trace_id", (str,), "a string"),
+    "activity_column": ("activity", (str,), "a string"),
+    "timestamp_column": ("timestamp", (str,), "a string"),
+    "bot_score_column": (None, (str, type(None)), "a string or null"),
+    "delimiter": (",", (str,), "a string"),
+    "timestamp_format": ("iso8601", (str,), "a string"),
+    "max_events": (10, (int,), "an integer"),
+    "max_traces": (None, (int, type(None)), "an integer or null"),
+    "noise_threshold": (0.2, (int, float), "a number"),
+    "split_bot_scores": (False, (bool,), "true or false"),
+    "bot_high": (0.9, (int, float), "a number"),
+    "bot_low": (0.1, (int, float), "a number"),
+    "entropy_log_base": (None, (int, float, type(None)), "a number or null"),
 }
 
 
-class PipelineConfig:
-    """Settings of a ``discover`` run; mutable, and checked by :meth:`check`
-    when built and again once command-line flags are applied."""
+class PipelineConfig(Record):
+    """Settings of a ``discover`` run, given as keyword arguments named by
+    ``_CONFIG_KEYS``, which holds the default of each one left out; mutable,
+    and checked by :meth:`check` when built and again once command-line
+    flags are applied."""
 
-    __slots__ = tuple(_CONFIG_KEYS)
+    __slots__ = _fields = tuple(_CONFIG_KEYS)
+    __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, inputs: list[Path] | None = None, out_dir: Path = Path("out"),
-                 trace_column: str = "trace_id", activity_column: str = "activity",
-                 timestamp_column: str = "timestamp", bot_score_column: str | None = None,
-                 delimiter: str = ",", timestamp_format: str = "iso8601",
-                 max_events: int = 10, max_traces: int | None = None,
-                 noise_threshold: float = 0.2, split_bot_scores: bool = False,
-                 bot_high: float = 0.9, bot_low: float = 0.1,
-                 entropy_log_base: float | None = None) -> None:
-        self.inputs = [] if inputs is None else inputs
-        self.out_dir = out_dir
-        self.trace_column = trace_column
-        self.activity_column = activity_column
-        self.timestamp_column = timestamp_column
-        self.bot_score_column = bot_score_column
-        self.delimiter = delimiter
-        self.timestamp_format = timestamp_format
-        self.max_events = max_events
-        self.max_traces = max_traces
-        self.noise_threshold = noise_threshold
-        self.split_bot_scores = split_bot_scores
-        self.bot_high = bot_high
-        self.bot_low = bot_low
-        self.entropy_log_base = entropy_log_base
+    def __init__(self, **settings: object) -> None:
+        for key in settings:
+            if key not in _CONFIG_KEYS:
+                raise TypeError(f"PipelineConfig() got an unexpected keyword "
+                                f"argument {key!r}")
+        for key, (default, _, _) in _CONFIG_KEYS.items():
+            setattr(self, key, settings.get(key, default))
+        if self.inputs is None:
+            self.inputs = []
         self.check()
-
-    def _values(self) -> list:
-        return [getattr(self, key) for key in self.__slots__]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return "PipelineConfig({})".format(", ".join(
-            f"{key}={value!r}" for key, value in zip(self.__slots__, self._values())))
 
     def check(self) -> None:
         """Raise ``ValueError`` unless the settings are consistent."""
         if not 0.0 <= self.noise_threshold <= 1.0:
             raise ValueError("noise threshold must lie in [0, 1]")
-        if self.max_events < 1:
-            raise ValueError("max_events must be >= 1")
-        if self.max_traces is not None and self.max_traces < 1:
-            raise ValueError("max_traces must be >= 1")
+        eventlog.check_caps(self.max_events, self.max_traces)
         if not self.bot_high > self.bot_low:
             raise ValueError(f"bot_high ({self.bot_high}) must exceed "
                              f"bot_low ({self.bot_low})")
@@ -154,7 +130,7 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
-            types, expected = _CONFIG_KEYS[key]
+            _, types, expected = _CONFIG_KEYS[key]
             if type(value) not in types or (
                     key == "inputs" and not all(type(p) is str for p in value)):
                 raise ValueError(f"{key!r} must be {expected}, got {value!r}")
@@ -169,7 +145,10 @@ def _json_text(doc: object) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-SCHEMA_KEYS = ("trace_id", "activity", "timestamp", "bot_score", "format")
+# Each ``--schema`` key and the config field it sets.
+SCHEMA_KEYS = {"trace_id": "trace_column", "activity": "activity_column",
+               "timestamp": "timestamp_column", "bot_score": "bot_score_column",
+               "format": "timestamp_format"}
 
 
 def parse_schema_spec(text: str) -> dict[str, str]:
@@ -353,13 +332,8 @@ def _add_schema_options(sub: argparse.ArgumentParser) -> None:
 
 def _apply_schema(config: PipelineConfig, args: argparse.Namespace) -> None:
     if args.schema:
-        mapping = parse_schema_spec(args.schema)
-        fields_by_key = {"trace_id": "trace_column", "activity": "activity_column",
-                         "timestamp": "timestamp_column",
-                         "bot_score": "bot_score_column",
-                         "format": "timestamp_format"}
-        for key, value in mapping.items():
-            setattr(config, fields_by_key[key], value)
+        for key, value in parse_schema_spec(args.schema).items():
+            setattr(config, SCHEMA_KEYS[key], value)
     if args.delimiter is not None:
         config.delimiter = args.delimiter
     config.schema()  # a bad timestamp format fails here, before any input is read

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Mapping, TypeVar
 
 from .eventlog import Dfg, EventLog, dfg_from_sequences
 from .petri import PetriNet
+from .record import Record
 
 Sequence = tuple[str, ...]
 Node = TypeVar("Node")
@@ -29,10 +30,10 @@ LOOP = "loop"
 _OPERATOR_TOKENS = {SEQ: "->", XOR: "X", PAR: "/\\", LOOP: "*"}
 
 
-class ProcessTree:
+class ProcessTree(Record):
     """Operator node over ordered children, or a single activity/tau leaf."""
 
-    __slots__ = ("kind", "label", "children")
+    __slots__ = _fields = ("kind", "label", "children")
 
     def __init__(self, kind: str, label: str | None = None,
                  children: tuple[ProcessTree, ...] = ()) -> None:
@@ -50,20 +51,6 @@ class ProcessTree:
         self.kind = kind
         self.label = label
         self.children = children
-
-    def _values(self) -> tuple:
-        return self.kind, self.label, self.children
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"ProcessTree{self._values()!r}"
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -103,10 +90,10 @@ def format_tree(tree: ProcessTree) -> str:
     return f"{_OPERATOR_TOKENS[tree.kind]}({inner})"
 
 
-class Cut:
+class Cut(Record):
     """A partition of the alphabet with the operator that explains it."""
 
-    __slots__ = ("kind", "partition")
+    __slots__ = _fields = ("kind", "partition")
 
     def __init__(self, kind: str, partition: tuple[frozenset[str], ...]) -> None:
         seen: set[str] = set()
@@ -116,17 +103,6 @@ class Cut:
             seen |= block
         self.kind = kind
         self.partition = partition
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.partition) == (other.kind, other.partition)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.partition))
-
-    def __repr__(self) -> str:
-        return f"Cut({self.kind!r}, {self.partition!r})"
 
 
 def filter_dfg(dfg: Dfg, threshold: float) -> Dfg:

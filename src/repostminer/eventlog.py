@@ -23,6 +23,9 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .record import Record
+
+
 class SchemaError(ValueError):
     """The input columns or schema configuration do not match the data."""
 
@@ -37,10 +40,10 @@ class Event(NamedTuple):
     bot_score: float | None = None
 
 
-class Trace:
+class Trace(Record):
     """The events of one original post, in time order."""
 
-    __slots__ = ("trace_id", "events")
+    __slots__ = _fields = ("trace_id", "events")
 
     def __init__(self, trace_id: str, events: tuple[Event, ...]) -> None:
         for a, b in zip(events, events[1:]):
@@ -48,17 +51,6 @@ class Trace:
                 raise ValueError(f"trace {trace_id}: timestamps decrease")
         self.trace_id = trace_id
         self.events = events
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.trace_id, self.events) == (other.trace_id, other.events)
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.events))
-
-    def __repr__(self) -> str:
-        return f"Trace({self.trace_id!r}, {self.events!r})"
 
     def __len__(self) -> int:
         return len(self.events)
@@ -74,27 +66,16 @@ class Trace:
         return tuple(e.activity for e in self.events)
 
 
-class EventLog:
+class EventLog(Record):
     """A sequence of traces with unique ids; the activity universe is derived."""
 
-    __slots__ = ("traces",)
+    __slots__ = _fields = ("traces",)
 
     def __init__(self, traces: tuple[Trace, ...] = ()) -> None:
         ids = [t.trace_id for t in traces]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate trace ids in event log")
         self.traces = traces
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.traces == other.traces
-
-    def __hash__(self) -> int:
-        return hash((self.traces,))
-
-    def __repr__(self) -> str:
-        return f"EventLog({self.traces!r})"
 
     @property
     def activity_universe(self) -> frozenset[str]:
@@ -114,7 +95,7 @@ class EventLog:
         return [t.activities() for t in self.traces]
 
 
-class LogSchema:
+class LogSchema(Record):
     """Column mapping and formats for delimiter-separated repost dumps.
 
     ``timestamp_format`` is either ``"iso8601"`` or ``"epoch"`` (integer
@@ -122,8 +103,8 @@ class LogSchema:
     on individual rows.  ``delimiter`` is one character but no quote or line end.
     """
 
-    __slots__ = ("trace_id", "activity", "timestamp", "bot_score", "delimiter",
-                 "timestamp_format")
+    __slots__ = _fields = ("trace_id", "activity", "timestamp", "bot_score",
+                           "delimiter", "timestamp_format")
 
     def __init__(self, trace_id: str = "trace_id", activity: str = "activity",
                  timestamp: str = "timestamp", bot_score: str | None = None,
@@ -139,21 +120,6 @@ class LogSchema:
         self.bot_score = bot_score
         self.delimiter = delimiter
         self.timestamp_format = timestamp_format
-
-    def _values(self) -> tuple:
-        return (self.trace_id, self.activity, self.timestamp, self.bot_score,
-                self.delimiter, self.timestamp_format)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"LogSchema{self._values()!r}"
 
 
 class Dfg(NamedTuple):
@@ -181,7 +147,7 @@ def _warn(message: str, *args: object) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _check_caps(max_events: int | None, max_traces: int | None) -> None:
+def check_caps(max_events: int | None, max_traces: int | None) -> None:
     if max_events is not None and max_events < 1:
         raise ValueError("max_events must be >= 1")
     if max_traces is not None and max_traces < 1:
@@ -223,7 +189,7 @@ def parse_log(source: IO[str] | str | Path,
     The caps give exactly ``preprocess(parse_log(source, schema), max_events,
     max_traces)``, but only the traces kept are ever built as events.
     """
-    _check_caps(max_events, max_traces)
+    check_caps(max_events, max_traces)
     iso = schema.timestamp_format == "iso8601"
     if iso:
         # A memo of _parse_iso8601 for this call.  ``hours`` maps an hour head
@@ -368,7 +334,7 @@ def preprocess(log: EventLog, max_events: int | None = 10,
     Trace selection ties break by order of appearance.  ``None`` lifts
     either cap.  An empty log passes through unchanged.
     """
-    _check_caps(max_events, max_traces)
+    check_caps(max_events, max_traces)
     # Truncation keeps each trace's first event, so selecting first keys on
     # the same start times and rebuilds only the kept traces.
     kept = _earliest(log.traces, lambda t: t.start if t.events else 0, max_traces)

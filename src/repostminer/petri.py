@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Mapping, NamedTuple
 
+from .record import Record
+
 
 class NetDefinitionError(ValueError):
     """The net violates a structural invariant (duplicate arcs, bad refs...)."""
@@ -23,24 +25,13 @@ class StateCapError(RuntimeError):
     """Reachability exploration exceeded the configured state cap."""
 
 
-class Marking:
+class Marking(Record):
     """Sparse token assignment: sorted (place, count) pairs, counts > 0."""
 
-    __slots__ = ("tokens",)
+    __slots__ = _fields = ("tokens",)
 
     def __init__(self, tokens: tuple[tuple[str, int], ...] = ()) -> None:
         self.tokens = tokens
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tokens == other.tokens
-
-    def __hash__(self) -> int:
-        return hash((self.tokens,))
-
-    def __repr__(self) -> str:
-        return f"Marking({self.tokens!r})"
 
     @classmethod
     def of(cls, counts: Mapping[str, int]) -> "Marking":
@@ -52,12 +43,6 @@ class Marking:
                 items.append((place, n))
         return cls(tuple(sorted(items)))
 
-    def count(self, place: str) -> int:
-        for p, n in self.tokens:
-            if p == place:
-                return n
-        return 0
-
     def as_dict(self) -> dict[str, int]:
         return {p: n for p, n in self.tokens if n > 0}
 
@@ -68,7 +53,7 @@ class Marking:
         return "{" + ", ".join(f"{p}:{n}" for p, n in self.tokens) + "}"
 
 
-class PetriNet:
+class PetriNet(Record):
     """Places, transitions, plain arcs, labels and an initial marking.
 
     ``labels`` maps every transition id to its label or ``None`` for silent.
@@ -78,7 +63,9 @@ class PetriNet:
     postsets.  Equality compares every field but ``kernel``.
     """
 
-    __slots__ = ("places", "transitions", "arcs", "labels", "initial_marking", "kernel")
+    _fields = ("places", "transitions", "arcs", "labels", "initial_marking")
+    __slots__ = _fields + ("kernel",)
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, places: tuple[str, ...], transitions: tuple[str, ...],
                  arcs: tuple[tuple[str, str], ...], labels: Mapping[str, str | None],
@@ -108,18 +95,6 @@ class PetriNet:
         self.labels = labels
         self.initial_marking = initial_marking
         self.kernel = Kernel(self)
-
-    def _values(self) -> tuple:
-        return (self.places, self.transitions, self.arcs, self.labels,
-                self.initial_marking)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return f"PetriNet{self._values()!r}"
 
     def preset(self, node: str) -> tuple[str, ...]:
         return self.kernel.pre[node]

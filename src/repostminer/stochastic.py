@@ -24,6 +24,7 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 from .eventlog import Event, EventLog, Trace
 from .petri import (Completion, Kernel, PetriNet, add_tokens, is_free_choice,
                     net_from_doc, net_to_doc, remove_tokens)
+from .record import Record
 
 PROBABILITY_TOLERANCE = 1e-9
 
@@ -67,10 +68,10 @@ def median(values: Iterable[float]) -> float:
     return data[half] if len(data) % 2 else (data[half - 1] + data[half]) / 2
 
 
-class EmpiricalDelay:
+class EmpiricalDelay(Record):
     """Observed waiting times of one transition, in seconds."""
 
-    __slots__ = ("samples",)
+    __slots__ = _fields = ("samples",)
 
     def __init__(self, samples: tuple[float, ...]) -> None:
         if not samples:
@@ -79,17 +80,6 @@ class EmpiricalDelay:
             if not 0 <= s < math.inf:  # a nan fails this too
                 raise ValueError(f"delays must be finite and nonnegative, got {s!r}")
         self.samples = samples
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.samples == other.samples
-
-    def __hash__(self) -> int:
-        return hash((self.samples,))
-
-    def __repr__(self) -> str:
-        return f"EmpiricalDelay({self.samples!r})"
 
     def mean(self) -> float:
         return mean(self.samples)
@@ -115,14 +105,15 @@ class ReplayResult(NamedTuple):
     failed_index: int | None = None
 
 
-class StochasticPetriNet:
+class StochasticPetriNet(Record):
     """Free-choice net plus per-place arc probabilities and empirical delays.
 
     Probabilities cover every outgoing place arc and sum to one per place;
     silent transitions never carry a delay distribution.
     """
 
-    __slots__ = ("net", "arc_probabilities", "delay_distributions")
+    __slots__ = _fields = ("net", "arc_probabilities", "delay_distributions")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, net: PetriNet,
                  arc_probabilities: Mapping[tuple[str, str], float],
@@ -150,17 +141,6 @@ class StochasticPetriNet:
         self.net = net
         self.arc_probabilities = arc_probabilities
         self.delay_distributions = delay_distributions
-
-    def _values(self) -> tuple:
-        return self.net, self.arc_probabilities, self.delay_distributions
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return f"StochasticPetriNet{self._values()!r}"
 
 
 # A silent-path search result: (tau path, goal transition) for an event,

@@ -161,6 +161,16 @@ class TestPipeline:
         cfg.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(ValueError, match="bogus"):
             PipelineConfig.from_file(cfg)
+        with pytest.raises(TypeError, match="'bogus'"):
+            PipelineConfig(bogus=1)
+
+    def test_empty_config_file_gives_the_defaults(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{}")
+        config = PipelineConfig.from_file(cfg)
+        assert config == PipelineConfig()
+        assert config.inputs == [] and config.out_dir == Path("out")
+        assert config.inputs is not PipelineConfig().inputs
 
     def test_schema_flag_remaps_columns(self, tmp_path):
         path = tmp_path / "renamed.csv"

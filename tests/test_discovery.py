@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import refcut
@@ -320,8 +320,11 @@ class TestRediscoveryFitness:
 
 
 class TestRediscovery:
+    # Hypothesis's explain phase reruns a failing example hundreds of times,
+    # at up to half a second each here: minutes before a failure is reported.
     @given(lc_trees(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.explain])
     def test_lc_tree_language_rediscovered(self, tree, seed):
         # From a log of a tree in Lc that shows every directly-follows pair
         # of the tree, discovery gives back a tree of the same language.
