@@ -14,12 +14,13 @@ only for the traces kept; ``preprocess`` applies them to a log in memory.
 from __future__ import annotations
 
 import csv
+import heapq
 import re
 from collections import Counter
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -154,15 +155,16 @@ def check_caps(max_events: int | None, max_traces: int | None) -> None:
         raise ValueError("max_traces must be >= 1")
 
 
-def _earliest(items: Sequence, start: Callable[..., int],
-              max_traces: int | None) -> Sequence:
-    """The ``max_traces`` items with the earliest ``start``, in appearance
-    order; ties break by appearance and ``None`` keeps every item."""
-    if max_traces is None or len(items) <= max_traces:
-        return items
-    # sorted is stable, so equal starts keep appearance order
-    order = sorted(range(len(items)), key=lambda i: start(items[i]))
-    return [items[i] for i in sorted(order[:max_traces])]
+def _earliest(count: int, start: Callable[[int], int],
+              max_traces: int | None) -> Sequence[int]:
+    """Indices of the ``max_traces`` of ``count`` items with the earliest
+    ``start(index)``, in appearance order; ties break by appearance and
+    ``None`` keeps every item."""
+    if max_traces is None or count <= max_traces:
+        return range(count)
+    # as sorted(...)[:max_traces], so equal starts keep appearance order, but
+    # holding only max_traces starts at a time
+    return sorted(heapq.nsmallest(max_traces, range(count), key=start))
 
 
 def parse_log(source: IO[str] | str | Path,
@@ -182,27 +184,24 @@ def parse_log(source: IO[str] | str | Path,
 
     ISO-8601 stamps of the form ``YYYY-MM-DDTHH:MM:SS`` followed by ``Z``,
     ``z`` or ``+00:00``, each optionally after a zero fraction ``.000``,
-    cost a few dict lookups once a stamp of their UTC hour has parsed; every
-    other form (padding, other offsets, non-zero fractions, other
-    separators) goes through the full parse and gives the same value.
+    cost two dict lookups once a stamp of their UTC hour and one of their
+    ``MM:SS`` + designator tail have parsed; every other form (padding, other
+    offsets, non-zero fractions, other separators) goes through the full
+    parse and gives the same value.
 
     The caps give exactly ``preprocess(parse_log(source, schema), max_events,
     max_traces)``, but only the traces kept are ever built as events.
     """
     check_caps(max_events, max_traces)
     iso = schema.timestamp_format == "iso8601"
-    if iso:
-        # A memo of _parse_iso8601 for this call.  ``hours`` maps an hour head
-        # "YYYY-MM-DDTHH:" to the epoch second the hour starts at; the first
-        # stamp of the hour that parses fills it, when its head is strict and
-        # its tail "MM:SS" + UTC designator is in the two small tables.  The
-        # float base sums exactly below 2**53 and int() of the sum is no
-        # wider than the int the full parse gives.
-        hours: dict[str, float] = {}
-        minutes = {f"{m:02d}:": 60 * m for m in range(60)}
-        seconds = {f"{s:02d}{zone}": s for s in range(60)
-                   for zone in ("Z", "z", "+00:00", ".000Z", ".000z", ".000+00:00")}
-        strict_head = re.compile(r"\d{4}-\d\d-\d\dT([01]\d|2[0-3]):", re.ASCII)
+    # Memos of _parse_iso8601 for this call: ``hours`` maps an hour head
+    # "YYYY-MM-DDTHH:" to the epoch second the hour starts at, ``tails`` a
+    # tail "MM:SS" + UTC designator to its offset into the hour.  A stamp
+    # that parses fills both when it is strict as a whole.
+    hours: dict[str, int] = {}
+    tails: dict[str, int] = {}
+    strict = re.compile(r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):([0-5]\d):([0-5]\d)"
+                        r"(?:\.000)?(?:[Zz]|\+00:00)", re.ASCII) if iso else None
     opened = (open(source, encoding="utf-8", newline="")
               if isinstance(source, (str, Path)) else nullcontext(source))
     with opened as stream:
@@ -228,12 +227,13 @@ def parse_log(source: IO[str] | str | Path,
         i_bot = positions[schema.bot_score] if schema.bot_score is not None else None
         width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
 
-        # Every valid row is held until the caps can be applied, so each trace
-        # keeps one flat [timestamp, account, score, ...] list, and each
-        # distinct account and score cell is stored as one shared object.
-        by_trace: dict[str, list[int | str | float | None]] = {}
+        # Every valid row is held until the caps can be applied, as three
+        # shared objects in its trace's flat list: the start of its hour, its
+        # offset into the hour (an epoch stamp is held whole, offset 0) and
+        # the (account, score) pair of its account and score cells.
+        by_trace: dict[str, list[int | tuple[str, float | None]]] = {}
+        pairs: dict[str | tuple[str, str], tuple[str, float | None]] = {}
         accounts: dict[str, str] = {}
-        scores: dict[str, float] = {}  # valid score cells only
         blank = 0
         rejected = 0
         lineno = 1
@@ -245,34 +245,35 @@ def parse_log(source: IO[str] | str | Path,
                         continue
                     raise ValueError(f"expected at least {width + 1} fields, got {len(row)}")
                 trace_id = row[i_trace].strip()
-                activity = row[i_act].strip()
                 if not trace_id:
                     raise ValueError("empty trace id")
-                if not activity:
-                    raise ValueError("empty activity")
+                key = row[i_act] if i_bot is None else (row[i_act], row[i_bot])
+                pair = pairs.get(key)
+                if pair is None:
+                    activity = row[i_act].strip()
+                    if not activity:
+                        raise ValueError("empty activity")
                 cell = row[i_ts]
                 if not iso:
-                    timestamp = int(float(cell))
+                    base, offset = int(float(cell)), 0
                 else:
                     try:
-                        timestamp = int(hours[cell[:14]] + minutes[cell[14:17]]
-                                        + seconds[cell[17:]])
+                        base = hours[cell[:14]]
+                        offset = tails[cell[14:]]
                     except KeyError:
-                        timestamp = _parse_iso8601(cell)
-                        minute = minutes.get(cell[14:17])
-                        second = seconds.get(cell[17:])
-                        if (minute is not None and second is not None
-                                and strict_head.fullmatch(cell[:14])):
-                            hours[cell[:14]] = float(timestamp - minute - second)
-                bot_score: float | None = None
-                if i_bot is not None:
-                    cell = row[i_bot]
-                    bot_score = scores.get(cell)
-                    if bot_score is None and cell.strip():
-                        bot_score = float(cell)
-                        if not 0.0 <= bot_score <= 1.0:
-                            raise ValueError(f"bot score {bot_score} outside [0, 1]")
-                        scores[cell] = bot_score
+                        base, offset = _parse_iso8601(cell), 0
+                        match = strict.fullmatch(cell)
+                        if match:
+                            offset = tails.setdefault(
+                                cell[14:], 60 * int(match[1]) + int(match[2]))
+                            base = hours.setdefault(cell[:14], base - offset)
+                if pair is None:
+                    score = None
+                    if i_bot is not None and row[i_bot].strip():
+                        score = float(row[i_bot])
+                        if not 0.0 <= score <= 1.0:
+                            raise ValueError(f"bot score {score} outside [0, 1]")
+                    pair = pairs[key] = (accounts.setdefault(activity, activity), score)
             except (ValueError, OverflowError) as exc:
                 rejected += 1
                 _warn("line %d: rejected row (%s)", lineno, exc)
@@ -280,19 +281,26 @@ def parse_log(source: IO[str] | str | Path,
             flat = by_trace.get(trace_id)
             if flat is None:
                 flat = by_trace[trace_id] = []
-            flat += (timestamp, accounts.setdefault(activity, activity), bot_score)
+            flat += (base, offset, pair)
 
     if rejected:
         _warn("rejected %d of %d rows", rejected, lineno - 1 - blank)
 
+    ids = list(by_trace)
+    stores = list(by_trace.values())
+    del by_trace
     traces = []
-    for trace_id, flat in _earliest(list(by_trace.items()),
-                                    lambda group: min(group[1][::3]), max_traces):
-        rows = sorted(zip(flat[::3], flat[1::3], flat[2::3]),
-                      key=itemgetter(0))  # stable: ties keep file order
+    new = tuple.__new__  # an Event in half the time of its constructor
+    for i in _earliest(len(ids), lambda i: min(map(add, stores[i][::3], stores[i][1::3])),
+                       max_traces):
+        flat, stores[i] = stores[i], None  # the rows go once built
+        # a zero offset keeps the held int: an epoch stamp is not copied
+        rows = sorted(zip([b + o if o else b for b, o in zip(flat[::3], flat[1::3])],
+                          flat[2::3]), key=itemgetter(0))  # stable: ties keep file order
+        trace_id = ids[i]
         traces.append(Trace(trace_id, tuple(
-            Event(trace_id, activity, timestamp, bot_score)
-            for timestamp, activity, bot_score in rows[:max_events])))
+            new(Event, (trace_id, activity, timestamp, bot_score))
+            for timestamp, (activity, bot_score) in rows[:max_events])))
     return EventLog(tuple(traces))
 
 
@@ -337,8 +345,11 @@ def preprocess(log: EventLog, max_events: int | None = 10,
     check_caps(max_events, max_traces)
     # Truncation keeps each trace's first event, so selecting first keys on
     # the same start times and rebuilds only the kept traces.
-    kept = _earliest(log.traces, lambda t: t.start if t.events else 0, max_traces)
-    return EventLog(tuple(Trace(t.trace_id, t.events[:max_events]) for t in kept))
+    traces = log.traces
+    kept = _earliest(len(traces), lambda i: traces[i].start if traces[i].events else 0,
+                     max_traces)
+    return EventLog(tuple(Trace(traces[i].trace_id, traces[i].events[:max_events])
+                          for i in kept))
 
 
 def split_by_bot_score(log: EventLog, high: float = 0.9,

@@ -353,6 +353,18 @@ class TestRediscovery:
                               threshold=0)
         assert format_tree(found) == format_tree(tree)
 
+    @pytest.mark.parametrize("tree", [
+        seq(activity("a"), xor(activity("b"), activity("c"))),
+        loop(seq(activity("a"), xor(activity("b"), activity("c"))), activity("d")),
+    ], ids=format_tree)
+    def test_sequence_cut_merges_unreachable_components(self, tree):
+        # b and c never follow each other, so neither reaches the other and
+        # the sequence cut must keep them in one block; without that merge
+        # ->(a, X(b, c)) comes back as ->(a, X(tau, b), X(tau, c)).
+        found = discover_tree(simulate(uniform_fspn(tree_to_net(tree)), 400, seed=3),
+                              threshold=0)
+        assert format_tree(found) == format_tree(tree)
+
 
 class TestReduceNet:
     def test_broadcast_reduces_to_three_chains(self):
