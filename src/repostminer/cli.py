@@ -203,30 +203,28 @@ def _csv_row(values: dict[str, float]) -> str:
     return ",".join(map(repr, values.values()))
 
 
-def measure(net: petri.PetriNet, replays: list[stochastic.ReplayResult],
-            tally: stochastic.ReplayTally, entropy_log_base: float | None,
-            provenance: dict[str, object],
+def measure(net: petri.PetriNet, tally: stochastic.ReplayTally,
+            entropy_log_base: float | None, provenance: dict[str, object],
             ) -> tuple[dict[str, float], dict[str, str], petri.PetriNet]:
     """Key -> value of each ``analysis.MEASURES`` row on a replayed net, given
-    its replays and their tally, file name -> text of its reports, and the
+    the tally of its replays, file name -> text of its reports, and the
     display net of the structural rows."""
     display_net = discovery.reduce_net(net)
     stats = stochastic.waiting_time_stats(tally)
     run = analysis.MeasuredRun(display_net, tally, stats, entropy_log_base)
     values = {m.key: m.value(run) for m in analysis.MEASURES}
     waits = {a: s.mean for a, s in stats.per_activity.items()}
-    failures = [{"trace_id": r.trace_id, "failed_index": r.failed_index}
-                for r in replays if not r.conforming]
     files = {
         "report.json": _json_text({**values, "provenance": provenance,
                                    "per_user_mean_waits": waits}),
         "report.csv": (",".join(m.column for m in analysis.MEASURES) + "\n"
                        + _csv_row(values) + "\n"),
         "conformance.json": _json_text({
-            "total": len(replays),
-            "conforming": len(replays) - len(failures),
-            "nonconforming": len(failures),
-            "failures": failures,
+            "total": tally.conforming + len(tally.failures),
+            "conforming": tally.conforming,
+            "nonconforming": len(tally.failures),
+            "failures": [{"trace_id": trace_id, "failed_index": index}
+                         for trace_id, index in tally.failures],
         }),
     }
     return values, files, display_net
@@ -265,21 +263,23 @@ def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
     with _stage("discover"):
         tree = discovery.discover_tree(log, config.noise_threshold)
         net = discovery.tree_to_net(tree)
-    with _stage("replay"):
-        replays = stochastic.replay_log(net, log)
-        tally = stochastic.tally_replays(net, replays)
+    traces, events = len(log), log.event_count()
+    with _stage("replay"):  # each replay is let go once tallied, the log after all
+        tally = stochastic.tally_replays(
+            net, (stochastic.replay_trace(net, trace) for trace in log.traces))
+        del log
     with _stage("enrich"):
         fspn = stochastic.enrich_from_tally(net, tally)
     with _stage("analyze"):
-        values, files, display_net = measure(net, replays, tally, config.entropy_log_base, {
+        values, files, display_net = measure(net, tally, config.entropy_log_base, {
             "log": name,
             "process_tree": discovery.format_tree(tree),
             "max_events": config.max_events,
             "max_traces": config.max_traces,
             "noise_threshold": config.noise_threshold,
             "entropy_log_base": config.entropy_log_base,
-            "traces": len(log),
-            "events": log.event_count(),
+            "traces": traces,
+            "events": events,
         })
     with _stage("write"):
         _write_run(out_dir, {
@@ -300,10 +300,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, dict[str, float]]:
         logs = [_read_log(path, config)]
         if config.split_bot_scores:
             with _stage("split"):
-                logs = eventlog.split_by_bot_score(logs[0], config.bot_high,
-                                                   config.bot_low)
-        for run_name, log in zip(config.run_names(path), logs):
-            reports[run_name] = _run_single(run_name, log, config,
+                logs = list(eventlog.split_by_bot_score(logs[0], config.bot_high,
+                                                        config.bot_low))
+        for run_name in config.run_names(path):  # each log is handed over
+            reports[run_name] = _run_single(run_name, logs.pop(0), config,
                                             config.out_dir / run_name)
     return reports
 
@@ -384,10 +384,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         net = petri.net_from_json(Path(args.net).read_text())
     log = _read_log(Path(args.input), config)
     with _stage("replay"):
-        replays = stochastic.replay_log(net, log)
-        tally = stochastic.tally_replays(net, replays)
+        tally = stochastic.tally_replays(
+            net, (stochastic.replay_trace(net, trace) for trace in log.traces))
+        del log
     with _stage("analyze"):
-        values, files, _ = measure(net, replays, tally, config.entropy_log_base, {
+        values, files, _ = measure(net, tally, config.entropy_log_base, {
             "log": Path(args.input).stem, "recomputed_from": args.net})
     with _stage("write"):
         _write_run(Path(args.out), files)

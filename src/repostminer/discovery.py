@@ -114,8 +114,8 @@ def filter_dfg(dfg: Dfg, threshold: float) -> Dfg:
     strongest: dict[str, int] = {}
     for (a, _), n in dfg.edge_counts.items():
         strongest[a] = max(strongest.get(a, 0), n)
-    edges = {(a, b): n for (a, b), n in dfg.edge_counts.items()
-             if n >= threshold * strongest[a]}
+    edges = {key: n for key, n in dfg.edge_counts.items()  # the DFG's own key tuples
+             if n >= threshold * strongest[key[0]]}
 
     def keep(counts: dict[str, int]) -> dict[str, int]:
         if not counts:
@@ -179,7 +179,6 @@ def strongly_connected(nodes: Iterable[Node],
         on_stack.add(root)
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in index:
                     index[nxt] = low[nxt] = counter
@@ -187,25 +186,23 @@ def strongly_connected(nodes: Iterable[Node],
                     stack.append(nxt)
                     on_stack.add(nxt)
                     work.append((nxt, iter(succ.get(nxt, []))))
-                    advanced = True
                     break
                 if nxt in on_stack:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(comp))
+            else:  # every successor is done: close the node
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        comp.add(member)
+                        if member == node:
+                            break
+                    components.append(frozenset(comp))
     return components
 
 
@@ -274,17 +271,14 @@ def _loop_cut(dfg: Dfg, alphabet: set[str]) -> Cut | None:
         return None
     redos: list[frozenset[str]] = []
     for comp in _linked_components(dfg, alphabet - boundary):
-        valid = True
         for a, b in dfg.edge_counts:
             if a not in alphabet or b not in alphabet:
                 continue
             if b in comp and a not in comp and a not in ends:
-                valid = False  # entry into the redo must come from an end
-                break
+                break  # entry into the redo must come from an end
             if a in comp and b not in comp and b not in starts:
-                valid = False  # exit from the redo must land on a start
-                break
-        if valid:
+                break  # exit from the redo must land on a start
+        else:
             redos.append(comp)
     if not redos:
         return None
@@ -481,11 +475,8 @@ def reduce_net(net: PetriNet) -> PetriNet:
     changed = True
     while changed:
         changed = False
-
         for t in net.transitions:
-            if t not in alive or net.labels[t] is not None:
-                continue
-            if len(pre[t]) != 1:
+            if t not in alive or net.labels[t] is not None or len(pre[t]) != 1:
                 continue
             p = pre[t][0]
             if p in marked or post[p] != [t] or len(pre[p]) != 1:

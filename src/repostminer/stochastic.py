@@ -2,11 +2,11 @@
 
 Token replay walks a trace over the net, routing through silent transitions
 where needed, and records for every firing when the transition became enabled
-and when it fired.  One walk over the conforming replays' firings,
-:func:`tally_replays`, gathers what every later stage reads: the firing
-counts behind the arc probabilities, the waits behind the per-account delay
-distributions and waiting statistics, and the marking moves whose entropy
-``analysis.replay_entropy`` takes.  Simulation draws
+and when it fired.  One walk over the replays, :func:`tally_replays`,
+gathers what every later stage reads: the firing counts behind the arc
+probabilities, the waits behind the per-account delay distributions and
+waiting statistics, the marking moves whose entropy
+``analysis.replay_entropy`` takes, and the failed replays.  Simulation draws
 from numpy's PCG64 stream reimplemented in pure Python, so nothing here
 imports numpy.
 """
@@ -316,34 +316,39 @@ def replay_log(net: PetriNet, log: EventLog) -> list[ReplayResult]:
 
 
 class ReplayTally(NamedTuple):
-    """What the conforming replays of one net show, gathered in one walk.
+    """What the replays of one net show, gathered in one walk.
 
-    ``fired`` counts each transition's firings; ``waits`` maps each labeled
-    transition that fired to its label and its clamped waits; ``moves``
-    counts the moves between markings, each replay closed back from its end
-    to the initial marking, in the order they were first seen.  Everything
-    is in replay order, then firing order.
+    Of the conforming replays, ``fired`` counts each transition's firings;
+    ``waits`` maps each labeled transition that fired to its label and its
+    clamped waits; ``moves`` counts the moves between markings, each replay
+    closed back from its end to the initial marking, in the order they were
+    first seen.  ``failures`` holds each nonconforming replay's ``(trace_id,
+    failed_index)``.  Everything is in replay order, then firing order.
     """
 
     conforming: int
     fired: Counter[str]
     waits: dict[str, tuple[str, list[float]]]
     moves: dict[tuple[frozenset, frozenset], int]
+    failures: list[tuple[str, int | None]]
 
 
 def tally_replays(net: PetriNet, replays: Iterable[ReplayResult]) -> ReplayTally:
-    """Walk the firings of the conforming replays once; nonconforming ones
-    are skipped.  A replay's markings are looked up in the successor table
-    of the net's kernel, which replaying on the net filled; ``ValueError``
-    if a replay fires a transition where it is not enabled."""
+    """Walk the firings of the conforming replays once and list the others;
+    given a generator, no replay outlives its walk.  A replay's markings are
+    looked up in the successor table of the net's kernel, which replaying on
+    the net filled; ``ValueError`` if a replay fires a transition where it
+    is not enabled."""
     kernel = net.kernel
     succ, successor, start = kernel.succ, kernel.successor, kernel.start
     conforming = 0
     # (state, transition) -> firings, with (state, None) the closing moves
     steps: dict[tuple[frozenset, str | None], int] = {}
     waits: dict[str, tuple[str, list[float]]] = {}
+    failures: list[tuple[str, int | None]] = []
     for result in replays:
         if not result.conforming:
+            failures.append((result.trace_id, result.failed_index))
             continue
         conforming += 1
         state = start
@@ -371,7 +376,7 @@ def tally_replays(net: PetriNet, replays: Iterable[ReplayResult]) -> ReplayTally
             fired[t] += n
             move = state, succ[state, t]
         moves[move] = moves.get(move, 0) + n
-    return ReplayTally(conforming, fired, waits, moves)
+    return ReplayTally(conforming, fired, waits, moves, failures)
 
 
 def enrich_from_tally(net: PetriNet, tally: ReplayTally) -> StochasticPetriNet:
@@ -469,9 +474,9 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 class _Stream:
     """numpy's ``np.random.default_rng(entropy)`` stream, in pure Python.
 
-    ``choice(p)`` and ``integers(n)`` return what ``Generator.choice(len(p),
-    p=p)`` and ``Generator.integers(n)`` return, draw for draw, for any
-    interleaving of the two.  numpy's ``SeedSequence`` hashes the entropy
+    ``choice(_cdf(p))`` and ``integers(n)`` return what ``Generator.choice(
+    len(p), p=p)`` and ``Generator.integers(n)`` return, draw for draw, for
+    any interleaving of the two.  numpy's ``SeedSequence`` hashes the entropy
     into the state of a PCG64 generator (XSL-RR 128/64; O'Neill, "PCG: A
     Family of Simple Fast Space-Efficient Statistically Good Algorithms for
     Random Number Generation", HMC-CS-2014-0905).  A negative entropy int
@@ -537,12 +542,9 @@ class _Stream:
         self._high32 = x >> 32
         return x & _MASK32
 
-    def choice(self, p: Sequence[float]) -> int:
-        """An index drawn with probabilities ``p``; one double per call."""
-        cdf = list(accumulate(p))
-        total = cdf[-1]
-        return bisect_right([c / total for c in cdf],
-                            (self._next64() >> 11) * 2.0 ** -53)
+    def choice(self, cdf: Sequence[float]) -> int:
+        """An index drawn by the CDF ``_cdf(p)`` of probabilities ``p``."""
+        return bisect_right(cdf, (self._next64() >> 11) * 2.0 ** -53)
 
     def integers(self, n: int) -> int:
         """A uniform int in ``[0, n)`` for ``1 <= n <= 2**32``, by Lemire's
@@ -555,6 +557,12 @@ class _Stream:
             while m & _MASK32 < threshold:
                 m = self._next32() * n
         return m >> 32
+
+
+def _cdf(p: Sequence[float]) -> list[float]:
+    """The running sums of ``p`` over their total, as numpy's ``choice`` has them."""
+    cdf = list(accumulate(p))
+    return [c / cdf[-1] for c in cdf]
 
 
 def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
@@ -584,8 +592,8 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
     t_index = {t: i for i, t in enumerate(net.transitions)}
     p_index = {p: i for i, p in enumerate(net.places)}
     delay_pool = {t: d.samples for t, d in fspn.delay_distributions.items()}
-    # place -> its join, or its outputs and their normalised probabilities;
-    # a place with no outputs or no probability mass routes nothing
+    # place -> its join, or its outputs and the CDF of their normalised
+    # probabilities; a place with no outputs or no probability mass routes nothing
     routes: dict[str, str | tuple[tuple[str, ...], list[float]]] = {}
     for place in net.places:
         outs = kernel.post[place]
@@ -595,7 +603,7 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
         probs = [fspn.arc_probabilities.get((place, t), 0.0) for t in outs]
         total = sum(probs)
         if total > 0:
-            routes[place] = (outs, [x / total for x in probs])
+            routes[place] = (outs, _cdf([x / total for x in probs]))
 
     traces: list[Trace] = []
     for trace_no in range(n_traces):
@@ -617,8 +625,8 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
                         if not kernel.can_fire(counts, chosen):
                             continue
                     else:
-                        outs, probs = route
-                        chosen = outs[stream.choice(probs)]
+                        outs, cdf = route
+                        chosen = outs[stream.choice(cdf)]
                     # free choice: a transition other than a join has one input
                     remove_tokens(counts, kernel.pre[chosen])
                     pool = delay_pool.get(chosen)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,30 @@ class TestCommands:
         assert ((redo / "conformance.json").read_text()
                 == (out / "fixture" / "conformance.json").read_text())
 
+    def test_analyze_conformance_with_a_failing_trace(self, tmp_path, fixture_log):
+        out = tmp_path / "out"
+        main(["discover", "--input", str(fixture_log), "--out", str(out)])
+        log = tmp_path / "more.csv"  # post3 fires A after C, where the net has no A
+        log.write_text(FIXTURE_CSV.replace("post2,A,", "post3,A,2019-01-03T00:00:00Z\n"
+                                           "post3,C,2019-01-03T00:00:01Z\n"
+                                           "post3,A,2019-01-03T00:00:02Z\npost2,A,", 1))
+        redo = tmp_path / "redo"
+        assert main(["analyze", "--net", str(out / "fixture" / "net.json"),
+                     "--input", str(log), "--out", str(redo)]) == 0
+        assert (redo / "conformance.json").read_text() == textwrap.dedent("""\
+            {
+              "conforming": 2,
+              "failures": [
+                {
+                  "failed_index": 2,
+                  "trace_id": "post3"
+                }
+              ],
+              "nonconforming": 1,
+              "total": 3
+            }
+            """)
+
     def test_analyze_width_20_broadcast(self, tmp_path):
         # Twenty optional bots in any order: the net has 2^20 + 3 reachable
         # markings, which measuring the entropy must not enumerate.
@@ -674,3 +699,26 @@ class TestCollectorPause:
                 for name in ("small", "large")]
         assert nets[0] == nets[1]
         assert left[1] == left[2]
+
+
+class TestHeldMemory:
+    # The bytes a cascade of 8 reposts adds to the tracemalloc peak of a run,
+    # (peak(2N) - peak(N)) / N, on a flower of 100 accounts: the kernel's memo
+    # tables, the same for both logs, cancel.  Replays stream into the tally
+    # and the log goes once replayed, so the peak is set in stage discover,
+    # while the log is held: about 1.4 kB a cascade on CPython 3.11, against
+    # 4.2-5.0 kB when every replay and the log were held until the run was
+    # written.
+    def test_run_holds_no_replays(self, tmp_path):
+        def peak(cascades):
+            log = organic_log(tmp_path / f"o{cascades}.csv", cascades, accounts=100)
+            config = PipelineConfig(inputs=[log], out_dir=tmp_path / "out",
+                                    timestamp_format="epoch")
+            tracemalloc.start()
+            try:
+                run_pipeline(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(500) - peak(250)) / 250 < 3000

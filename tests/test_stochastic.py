@@ -29,6 +29,7 @@ from repostminer.stochastic import (
     ReplayResult,
     StatsError,
     StochasticPetriNet,
+    _cdf,
     _silent_path,
     _Stream,
     enrich,
@@ -562,6 +563,7 @@ def assert_tally_equals_reference(net, replays):
     """Enrichment, waiting stats and entropy from one tally equal, exactly,
     those of the reference's own walks, or fail with the same error."""
     tally = tally_replays(net, replays)
+    assert tally.failures == [(r.trace_id, r.failed_index) for r in replays if not r.conforming]
     got = outcome(lambda: enrich_from_tally(net, tally))
     expected = outcome(lambda: reference_enrich(net, replays))
     if isinstance(expected, StochasticPetriNet):
@@ -619,6 +621,14 @@ class TestTally:
         assert tally.waits == {"t1": ("a", [0.0]), "t3": ("a", [0.0])}
         assert [f.wait for f in firings] == [0.0, 0.0]
         assert_tally_equals_reference(REPEATED_LABELS, replays)
+
+    def test_failures_in_replay_order(self):
+        net = broadcast_net()  # A, then B and C in either order
+        log = make_log([("A", "B", "B"), ("A", "C", "B"), ("B",), ("A", "B", "C")])
+        tally = tally_replays(net, (replay_trace(net, trace) for trace in log.traces))
+        assert tally.failures == [("case0", 2), ("case2", 0)]
+        assert tally.conforming == 2
+        assert sum(tally.fired.values()) == 6  # the failed replays' firings are not counted
 
     def test_moves_keep_first_seen_order(self):
         net = broadcast_net()
@@ -756,7 +766,7 @@ class TestStream:
         rng, stream = np.random.default_rng((seed, trace_no)), _Stream((seed, trace_no))
         for kind, arg in draws:
             if kind == "choice":
-                assert stream.choice(arg) == rng.choice(len(arg), p=arg)
+                assert stream.choice(_cdf(arg)) == rng.choice(len(arg), p=arg)
             else:
                 assert stream.integers(arg) == rng.integers(arg)
 
