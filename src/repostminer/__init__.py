@@ -44,7 +44,6 @@ from .petri import (
     net_from_json,
     net_to_json,
     reachability_graph,
-    tau_free_language,
 )
 from .stochastic import (
     EmpiricalDelay,

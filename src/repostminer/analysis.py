@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
-from .petri import PetriNet
+from .petri import Marking, PetriNet
 from .stochastic import ReplayTally, WaitingStats
 
 
@@ -80,7 +80,7 @@ def replay_entropy(tally: ReplayTally, log_base: float | None = None) -> float:
     check_log_base(log_base)
     if not tally.conforming:
         raise ChainConstructionError("no conforming replays to estimate the entropy from")
-    out_totals: Counter[frozenset] = Counter()
+    out_totals: Counter[Marking] = Counter()
     for (src, _), n in tally.moves.items():
         out_totals[src] += n
     weighted = 0.0

@@ -141,10 +141,6 @@ class PipelineConfig(Record):
         return cls(**raw)
 
 
-def _json_text(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 # Each ``--schema`` key and the config field it sets.
 SCHEMA_KEYS = {"trace_id": "trace_column", "activity": "activity_column",
                "timestamp": "timestamp_column", "bot_score": "bot_score_column",
@@ -215,11 +211,11 @@ def measure(net: petri.PetriNet, tally: stochastic.ReplayTally,
     values = {m.key: m.value(run) for m in analysis.MEASURES}
     waits = {a: s.mean for a, s in stats.per_activity.items()}
     files = {
-        "report.json": _json_text({**values, "provenance": provenance,
-                                   "per_user_mean_waits": waits}),
+        "report.json": petri.json_text({**values, "provenance": provenance,
+                                        "per_user_mean_waits": waits}),
         "report.csv": (",".join(m.column for m in analysis.MEASURES) + "\n"
                        + _csv_row(values) + "\n"),
-        "conformance.json": _json_text({
+        "conformance.json": petri.json_text({
             "total": tally.conforming + len(tally.failures),
             "conforming": tally.conforming,
             "nonconforming": len(tally.failures),
@@ -420,9 +416,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     with _stage("compare"):
         doc = compare(*reports)
     with _stage("write"):
+        text = petri.json_text(doc)
         if args.out:
-            Path(args.out).write_text(_json_text(doc))
-        print(json.dumps(doc, indent=2, sort_keys=True))
+            Path(args.out).write_text(text)
+        print(text, end="")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Labeled Petri nets: firing semantics, free-choice check, reachability.
 
 Transitions carry either an activity label (an account id) or ``None`` for
-silent transitions.  Markings are sparse and hashable so reachability graphs
-can be explored with plain dict lookups.
+silent transitions.  A :class:`Marking` is a frozenset of ``(place, count)``
+pairs; each net's firing :class:`Kernel` holds every marking it reaches
+once, and replay, ``fire`` and the reachability graph all step through it.
 """
 
 from __future__ import annotations
@@ -25,32 +26,32 @@ class StateCapError(RuntimeError):
     """Reachability exploration exceeded the configured state cap."""
 
 
-class Marking(Record):
-    """Sparse token assignment: sorted (place, count) pairs, counts > 0."""
+class Marking(frozenset):
+    """Sparse token assignment: the frozenset of its ``(place, count)``
+    pairs, built without those whose count is not positive.  Not a
+    ``Record``, as frozenset's hash is cached; ``str`` and ``repr`` sort the
+    pairs, as set order follows the string hash seed."""
 
-    __slots__ = _fields = ("tokens",)
+    __slots__ = ()
 
-    def __init__(self, tokens: tuple[tuple[str, int], ...] = ()) -> None:
-        self.tokens = tokens
+    def __new__(cls, pairs: Iterable[tuple[str, int]] = ()) -> "Marking":
+        return super().__new__(cls, [pair for pair in pairs if pair[1] > 0])
 
     @classmethod
     def of(cls, counts: Mapping[str, int]) -> "Marking":
-        items = []
         for place, n in counts.items():
             if n < 0:
                 raise ValueError(f"negative token count at {place}")
-            if n > 0:
-                items.append((place, n))
-        return cls(tuple(sorted(items)))
-
-    def as_dict(self) -> dict[str, int]:
-        return {p: n for p, n in self.tokens if n > 0}
-
-    def total(self) -> int:
-        return sum(n for _, n in self.tokens)
+        return cls(counts.items())
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{p}:{n}" for p, n in self.tokens) + "}"
+        return "{" + ", ".join(f"{p}:{n}" for p, n in sorted(self)) + "}"
+
+    def __repr__(self) -> str:
+        return f"Marking({tuple(sorted(self))!r})"
+
+
+_marking = frozenset.__new__  # _marking(Marking, pairs), for positive pairs: no filter
 
 
 class PetriNet(Record):
@@ -112,7 +113,7 @@ class PetriNet(Record):
         return self.kernel.silent
 
     def initial(self) -> Marking:
-        return Marking.of(self.initial_marking)
+        return self.kernel.start
 
     def node_count(self) -> int:
         return len(self.places) + len(self.transitions)
@@ -131,12 +132,6 @@ class ReachabilityGraph(NamedTuple):
     states: tuple[Marking, ...]
     edges: tuple[RgEdge, ...]
     end_states: tuple[int, ...]
-
-    def successors(self) -> dict[int, list[RgEdge]]:
-        out: dict[int, list[RgEdge]] = {i: [] for i in range(len(self.states))}
-        for e in self.edges:
-            out[e.src].append(e)
-        return out
 
 
 def remove_tokens(counts: dict[str, int], places: Iterable[str]) -> None:
@@ -183,10 +178,10 @@ class Kernel:
     ``completion()``, the exact completion distance of a block-structured
     net (see :meth:`completion`).
 
-    It is also the net's one table of markings: a state is a marking held
-    once, as the frozenset of its ``(place, count)`` pairs, ``start`` the
-    initial one, and ``succ`` maps ``(state, t)`` to the state after firing
-    ``t``.  Replay memoizes its searches here, in ``paths`` and ``searches``.
+    It is also the net's one table of markings: a state is a
+    :class:`Marking` held once, ``start`` the initial one, and ``succ`` maps
+    ``(state, t)`` to the state after firing ``t``.  Replay memoizes its
+    searches here, in ``paths`` and ``searches``.
     """
 
     __slots__ = ("pre", "post", "pure_in", "pure_out", "needs", "silent", "by_label",
@@ -215,10 +210,10 @@ class Kernel:
         self.places = net.places
         self.marked = {p: n for p, n in net.initial_marking.items() if n > 0}
         self._relevant: dict[str, tuple[str, ...]] = {}
-        self.start = frozenset(self.marked.items())
+        self.start = _marking(Marking, self.marked.items())
         self._states = {self.start: self.start}
-        self.succ: dict[tuple[frozenset, str], frozenset] = {}
-        self.paths: dict[tuple[frozenset, str | None], tuple | None] = {}
+        self.succ: dict[tuple[Marking, str], Marking] = {}
+        self.paths: dict[tuple[Marking, str | None], tuple | None] = {}
         self.searches: dict[tuple[str, tuple], tuple | None] = {}
         self._reads: dict[str, tuple[str, ...]] = {}
 
@@ -231,28 +226,25 @@ class Kernel:
         keys, needs = counts.keys(), self.needs
         return [t for t in (needs if among is None else among) if keys >= needs[t]]
 
-    def fire(self, counts: Mapping[str, int], t: str) -> dict[str, int]:
-        """The counts after firing ``t``, which the caller knows is enabled."""
+    def fire(self, counts: Mapping[str, int] | Marking, t: str) -> dict[str, int] | None:
+        """The counts after firing ``t`` from ``counts`` (a mapping or a
+        :class:`Marking`), or ``None`` if ``t`` is not enabled there."""
         succ = dict(counts)
+        if not succ.keys() >= self.needs[t]:
+            return None
         remove_tokens(succ, self.pure_in[t])
         add_tokens(succ, self.pure_out[t])
         return succ
 
-    def successor(self, state: frozenset, *path: str,
-                  counts: dict[str, int] | None = None) -> frozenset | None:
+    def successor(self, state: Marking, *path: str) -> Marking | None:
         """The state after firing ``path`` from ``state``, or ``None`` if a
-        step is not enabled; each firing made is kept in ``succ``.  Token
-        counts of ``state`` passed as ``counts`` are fired along in place."""
+        step is not enabled; each firing made is kept in ``succ``."""
         succ, states = self.succ, self._states
-        counts = dict(state) if counts is None else counts
         for t in path:
-            if not counts.keys() >= self.needs[t]:
-                return None
-            remove_tokens(counts, self.pure_in[t])
-            add_tokens(counts, self.pure_out[t])
-            after = succ.get((state, t))
-            if after is None:
-                after = frozenset(counts.items())
+            if (after := succ.get((state, t))) is None:
+                if (counts := self.fire(state, t)) is None:
+                    return None
+                after = _marking(Marking, counts.items())
                 after = succ[state, t] = states.setdefault(after, after)
             state = after
         return state
@@ -415,18 +407,18 @@ def is_block_structured(kernel: Kernel) -> bool:
 
 def enabled(net: PetriNet, marking: Marking) -> list[str]:
     """Transitions whose every input place holds a token, in net order."""
-    return net.kernel.enabled(marking.as_dict())
+    return net.kernel.enabled(dict(marking))
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Fire an enabled transition: consume one token per input place and
     produce one per output place; self-loop places keep their token."""
-    counts = marking.as_dict()
-    if not net.kernel.can_fire(counts, transition):
-        empty = next(p for p in net.preset(transition) if p not in counts)
+    after = net.kernel.successor(marking, transition)
+    if after is None:
+        empty = next(p for p in net.preset(transition) if p not in dict(marking))
         raise FiringError(
             f"transition {transition} not enabled: place {empty} holds no token")
-    return Marking.of(net.kernel.fire(counts, transition))
+    return after
 
 
 def is_free_choice(net: PetriNet) -> bool:
@@ -441,66 +433,32 @@ def is_free_choice(net: PetriNet) -> bool:
 
 
 def reachability_graph(net: PetriNet, state_cap: int = 1_000_000) -> ReachabilityGraph:
-    """Breadth-first marking exploration with deterministic state numbering.
-
-    States are numbered by discovery order (transitions tried in net order),
-    so two runs over the same net produce identical graphs.  Exceeding
-    ``state_cap`` distinct markings raises :class:`StateCapError` rather than
-    truncating, because a truncated graph would silently drop behavior.
-    """
+    """Breadth-first exploration of the kernel's states by
+    :meth:`Kernel.successor`, numbered by discovery order (transitions tried
+    in net order), so two runs over the same net produce identical graphs.
+    More than ``state_cap`` markings raise :class:`StateCapError` rather
+    than truncating, which would silently drop behavior."""
     if state_cap < 1:
         raise ValueError("state_cap must be >= 1")
     kernel = net.kernel
-    states = [net.initial()]
-    index = {states[0].tokens: 0}
+    states = [kernel.start]
+    number = {kernel.start: 0}
     edges: list[RgEdge] = []
     for i, state in enumerate(states):  # visits states appended below: BFS
-        counts = dict(state.tokens)
-        for t in kernel.enabled(counts):
-            key = tuple(sorted(kernel.fire(counts, t).items()))
-            j = index.get(key)
+        for t in kernel.enabled(dict(state)):
+            after = kernel.successor(state, t)
+            j = number.get(after)
             if j is None:
                 if len(states) >= state_cap:
                     raise StateCapError(
                         f"more than {state_cap} reachable markings; "
                         "the net may be unbounded")
-                j = index[key] = len(states)
-                states.append(Marking(key))
+                j = number[after] = len(states)
+                states.append(after)
             edges.append(RgEdge(i, t, net.label(t), j))
     has_out = {e.src for e in edges}
     ends = tuple(i for i in range(len(states)) if i not in has_out)
     return ReachabilityGraph(tuple(states), tuple(edges), ends)
-
-
-def tau_free_language(net: PetriNet, state_cap: int = 100_000) -> frozenset[tuple[str, ...]]:
-    """Label sequences (silent steps dropped) along maximal firing paths.
-
-    Only defined for nets whose reachability graph is acyclic; a cycle makes
-    the language infinite and raises ``ValueError``.
-    """
-    rg = reachability_graph(net, state_cap)
-    succ = rg.successors()
-    memo: dict[int, frozenset[tuple[str, ...]]] = {}
-    on_path: set[int] = set()
-
-    def visit(i: int) -> frozenset[tuple[str, ...]]:
-        if i in memo:
-            return memo[i]
-        if i in on_path:
-            raise ValueError("reachability graph is cyclic: language is infinite")
-        if not succ[i]:
-            memo[i] = frozenset({()})
-            return memo[i]
-        on_path.add(i)
-        out: set[tuple[str, ...]] = set()
-        for e in succ[i]:
-            for suffix in visit(e.dst):
-                out.add(suffix if e.label is None else (e.label,) + suffix)
-        on_path.discard(i)
-        memo[i] = frozenset(out)
-        return memo[i]
-
-    return visit(0)
 
 
 def net_to_doc(net: PetriNet) -> dict[str, object]:
@@ -513,9 +471,15 @@ def net_to_doc(net: PetriNet) -> dict[str, object]:
     }
 
 
+def json_text(doc: object) -> str:
+    """The package's canonical JSON text: indent 2, sorted keys, a trailing
+    newline; every JSON artifact is written in it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def net_to_json(net: PetriNet) -> str:
     """Canonical JSON interchange form (stable across runs)."""
-    return json.dumps(net_to_doc(net), indent=2, sort_keys=True) + "\n"
+    return json_text(net_to_doc(net))
 
 
 def net_from_doc(doc: Mapping) -> PetriNet:

@@ -22,8 +22,8 @@ from itertools import accumulate
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .eventlog import Event, EventLog, Trace
-from .petri import (Completion, Kernel, PetriNet, add_tokens, is_free_choice,
-                    net_from_doc, net_to_doc, remove_tokens)
+from .petri import (Completion, Kernel, Marking, PetriNet, add_tokens, is_free_choice,
+                    json_text, net_from_doc, net_to_doc, remove_tokens)
 from .record import Record
 
 PROBABILITY_TOLERANCE = 1e-9
@@ -147,7 +147,7 @@ class StochasticPetriNet(Record):
 # (tau path, None) for completion, or None when no silent path exists.
 SilentPath = tuple[tuple[str, ...], str | None] | None
 # A SilentPath, the state after it and the transitions it fires (tau path, goal).
-Step = tuple[tuple[str, ...], str | None, frozenset, tuple[str, ...]] | None
+Step = tuple[tuple[str, ...], str | None, Marking, tuple[str, ...]] | None
 
 
 def _silent_path(kernel: Kernel, counts: dict[str, int],
@@ -230,7 +230,7 @@ def _descend(kernel: Kernel, completion: Completion,
 _UNSEEN = object()
 
 
-def _step(kernel: Kernel, state: frozenset, goal: str | None) -> Step:
+def _step(kernel: Kernel, state: Marking, goal: str | None) -> Step:
     """``_silent_path`` from ``state`` for ``goal`` and the state it leads
     to, memoized on the kernel by state; a goal search is also memoized by
     the marking of ``kernel.reads(goal)``, the places that decide it."""
@@ -246,7 +246,7 @@ def _step(kernel: Kernel, state: frozenset, goal: str | None) -> Step:
     if found is not None:
         path, target = found
         steps = path if target is None else path + (target,)
-        found = (path, target, kernel.successor(state, *steps, counts=counts), steps)
+        found = (path, target, kernel.successor(state, *steps), steps)
     kernel.paths[state, goal] = found
     return found
 
@@ -329,7 +329,7 @@ class ReplayTally(NamedTuple):
     conforming: int
     fired: Counter[str]
     waits: dict[str, tuple[str, list[float]]]
-    moves: dict[tuple[frozenset, frozenset], int]
+    moves: dict[tuple[Marking, Marking], int]
     failures: list[tuple[str, int | None]]
 
 
@@ -343,7 +343,7 @@ def tally_replays(net: PetriNet, replays: Iterable[ReplayResult]) -> ReplayTally
     succ, successor, start = kernel.succ, kernel.successor, kernel.start
     conforming = 0
     # (state, transition) -> firings, with (state, None) the closing moves
-    steps: dict[tuple[frozenset, str | None], int] = {}
+    steps: dict[tuple[Marking, str | None], int] = {}
     waits: dict[str, tuple[str, list[float]]] = {}
     failures: list[tuple[str, int | None]] = []
     for result in replays:
@@ -368,7 +368,7 @@ def tally_replays(net: PetriNet, replays: Iterable[ReplayResult]) -> ReplayTally
     # A move is first seen at the first firing of one of its keys, so folding
     # the keys in first-seen order keeps the moves' first-seen order.
     fired: Counter[str] = Counter()
-    moves: dict[tuple[frozenset, frozenset], int] = {}
+    moves: dict[tuple[Marking, Marking], int] = {}
     for (state, t), n in steps.items():
         if t is None:
             move = state, start
@@ -452,7 +452,7 @@ def fspn_to_json(fspn: StochasticPetriNet) -> str:
     doc["delay_distributions"] = {
         t: list(d.samples) for t, d in sorted(fspn.delay_distributions.items())
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def fspn_from_json(text: str | IO[str]) -> StochasticPetriNet:

@@ -42,11 +42,10 @@ from repostminer.petri import (
     fire,
     is_free_choice,
     reachability_graph,
-    tau_free_language,
 )
 from repostminer.reference_nets import broadcast_net, sequential_net, threshold_fspn
 from repostminer.stochastic import enrich, replay_log, replay_trace, simulate, tally_replays
-from treeutil import random_replays
+from treeutil import bounded_language, random_replays
 
 
 def report(number, text):
@@ -63,7 +62,7 @@ def test_criterion_1_concurrency_fixture():
     log = make_log([("A", "B", "C"), ("A", "C", "B")], spacing=5)
     net = tree_to_net(discover_tree(log, 0.2))
 
-    assert tau_free_language(net) == frozenset({("A", "B", "C"), ("A", "C", "B")})
+    assert bounded_language(net) == frozenset({("A", "B", "C"), ("A", "C", "B")})
 
     display = reduce_net(net)
     rg = reachability_graph(display)
@@ -99,7 +98,7 @@ class MatrixOracle:
 
     def vector(self, marking: Marking) -> tuple[int, ...]:
         vec = [0] * len(self.net.places)
-        for p, n in marking.tokens:
+        for p, n in marking:
             vec[self.place_index[p]] = n
         return tuple(vec)
 

@@ -26,7 +26,7 @@ from repostminer.discovery import (
     xor,
 )
 from repostminer.eventlog import Dfg, EventLog, dfg_from_sequences
-from repostminer.petri import is_free_choice, tau_free_language
+from repostminer.petri import is_free_choice
 from repostminer.stochastic import replay_trace, simulate
 from treeutil import bounded_language, directly_follows, in_lc, lc_trees, uniform_fspn
 
@@ -241,7 +241,7 @@ class TestTreeToNet:
 
     def test_broadcast_language(self):
         net = tree_to_net(seq(activity("A"), par(activity("B"), activity("C"))))
-        assert tau_free_language(net) == frozenset(
+        assert bounded_language(net) == frozenset(
             {("A", "B", "C"), ("A", "C", "B")})
 
     def test_every_construction_is_free_choice(self):
@@ -372,7 +372,7 @@ class TestReduceNet:
         red = reduce_net(net)
         assert red.node_count() == 6 and len(red.arcs) == 5
         assert is_free_choice(red)
-        assert tau_free_language(red) == tau_free_language(net)
+        assert bounded_language(red) == bounded_language(net)
 
     def test_idempotent(self):
         net = tree_to_net(seq(activity("A"), par(activity("B"), activity("C"))))

@@ -5,7 +5,6 @@ import pytest
 from repostminer.cli import _CONFIG_KEYS, PipelineConfig
 from repostminer.discovery import Cut, activity, seq
 from repostminer.eventlog import Event, EventLog, LogSchema, Trace
-from repostminer.petri import Marking
 from repostminer.reference_nets import broadcast_net, threshold_fspn
 from repostminer.stochastic import EmpiricalDelay
 
@@ -21,7 +20,6 @@ RECORDS = {
     "LogSchema": (lambda: LogSchema(bot_score="score"),
                   ("trace_id", "activity", "timestamp", "bot_score", "delimiter",
                    "timestamp_format")),
-    "Marking": (lambda: Marking((("p", 1), ("q", 2))), ("tokens",)),
     "PetriNet": (broadcast_net,
                  ("places", "transitions", "arcs", "labels", "initial_marking")),
     "EmpiricalDelay": (lambda: EmpiricalDelay((1.0, 2.5)), ("samples",)),
@@ -61,7 +59,7 @@ def test_record_contract(name):
 
 
 def test_repr_is_keyword_form():
-    assert repr(Marking((("p", 1),))) == "Marking(tokens=(('p', 1),))"
+    assert repr(EmpiricalDelay((1.0,))) == "EmpiricalDelay(samples=(1.0,))"
     assert repr(activity("a")) == "ProcessTree(kind='activity', label='a', children=())"
 
 

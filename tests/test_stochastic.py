@@ -399,7 +399,7 @@ class TestBlockStructure:
                 continue
             certified += 1
             for marking in states:
-                counts = marking.as_dict()
+                counts = dict(marking)
                 assert (_silent_path(kernel, counts, None)
                         == reference_path(kernel, counts, None)), net
         assert certified > 300
