@@ -179,14 +179,14 @@ class Kernel:
     net (see :meth:`completion`).
 
     It is also the net's one table of markings: a state is a
-    :class:`Marking` held once, ``start`` the initial one, and ``succ`` maps
-    ``(state, t)`` to the state after firing ``t``.  Replay memoizes its
-    searches here, in ``paths`` and ``searches``.
+    :class:`Marking` held once and built from pairs held once, ``start`` the
+    initial one, and ``succ`` maps ``(state, t)`` to the state after firing
+    ``t``.  Replay memoizes its searches here, in ``paths`` and ``searches``.
     """
 
     __slots__ = ("pre", "post", "pure_in", "pure_out", "needs", "silent", "by_label",
                  "feeders", "places", "marked", "_relevant", "_completion",
-                 "start", "succ", "paths", "searches", "_states", "_reads")
+                 "start", "succ", "paths", "searches", "_states", "_pairs", "_reads")
 
     def __init__(self, net: PetriNet) -> None:
         nodes, ts = net.places + net.transitions, net.transitions
@@ -212,6 +212,7 @@ class Kernel:
         self._relevant: dict[str, tuple[str, ...]] = {}
         self.start = _marking(Marking, self.marked.items())
         self._states = {self.start: self.start}
+        self._pairs = {pair: pair for pair in self.start}
         self.succ: dict[tuple[Marking, str], Marking] = {}
         self.paths: dict[tuple[Marking, str | None], tuple | None] = {}
         self.searches: dict[tuple[str, tuple], tuple | None] = {}
@@ -230,22 +231,32 @@ class Kernel:
         """The counts after firing ``t`` from ``counts`` (a mapping or a
         :class:`Marking`), or ``None`` if ``t`` is not enabled there."""
         succ = dict(counts)
-        if not succ.keys() >= self.needs[t]:
-            return None
-        remove_tokens(succ, self.pure_in[t])
-        add_tokens(succ, self.pure_out[t])
-        return succ
+        return succ if self._fire(succ, t) else None
+
+    def _fire(self, counts: dict[str, int], t: str) -> bool:
+        """Fire ``t`` on ``counts`` in place; ``False``, changing nothing, if
+        ``t`` is not enabled there."""
+        if not counts.keys() >= self.needs[t]:
+            return False
+        remove_tokens(counts, self.pure_in[t])
+        add_tokens(counts, self.pure_out[t])
+        return True
 
     def successor(self, state: Marking, *path: str) -> Marking | None:
         """The state after firing ``path`` from ``state``, or ``None`` if a
-        step is not enabled; each firing made is kept in ``succ``."""
-        succ, states = self.succ, self._states
+        step is not enabled; each firing made is kept in ``succ``.  A new
+        state is built from the kernel's shared ``(place, count)`` pairs, and
+        a run of misses fires on one copy of the counts."""
+        succ, states, intern, counts = self.succ, self._states, self._pairs.setdefault, None
         for t in path:
             if (after := succ.get((state, t))) is None:
-                if (counts := self.fire(state, t)) is None:
+                counts = dict(state) if counts is None else counts
+                if not self._fire(counts, t):
                     return None
-                after = _marking(Marking, counts.items())
+                after = _marking(Marking, map(intern, counts.items(), counts.items()))
                 after = succ[state, t] = states.setdefault(after, after)
+            else:
+                counts = None
             state = after
         return state
 

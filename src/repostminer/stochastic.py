@@ -216,12 +216,15 @@ def _descend(kernel: Kernel, completion: Completion,
         distance += n * cost[p]
     if distance > scale * len(kernel.silent):
         return None
-    path: list[str] = []
+    counts = dict(counts)  # fired in place; the caller's counts stay as given
+    keys, needs, path = counts.keys(), kernel.needs, []
     while distance > 0:
-        t = next((t for t in steps if kernel.can_fire(counts, t)), None)
-        if t is None:
+        for t in steps:
+            if keys >= needs[t]:
+                break
+        else:
             return None
-        counts = kernel.fire(counts, t)
+        kernel._fire(counts, t)
         path.append(t)
         distance -= scale
     return tuple(path), None

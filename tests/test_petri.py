@@ -1,7 +1,11 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from repostminer.discovery import activity, par, seq, tau, tree_to_net, xor
+from repostminer.eventlog import Event, Trace
 from repostminer.petri import (
     FiringError,
     Marking,
@@ -16,7 +20,7 @@ from repostminer.petri import (
     reachability_graph,
 )
 from repostminer.reference_nets import broadcast_net
-from repostminer.stochastic import tally_replays
+from repostminer.stochastic import replay_trace, tally_replays
 from treeutil import random_replays
 
 
@@ -186,6 +190,45 @@ class TestReachability:
             for marking in states:
                 for t in enabled(net, marking):
                     assert id(fire(net, marking, t)) in held
+
+    def test_markings_share_pairs(self):
+        # every state the kernel holds is built from one object per pair
+        rng = random.Random(23)
+        for _ in range(25):
+            net, _replays = random_replays(rng)
+            states = reachability_graph(net).states
+            assert (len({id(pair) for s in states for pair in s})
+                    == len({pair for s in states for pair in s}))
+
+    def test_bytes_per_marking(self):
+        # ->(lead, /\(X(tau, b0), ..., X(tau, b9))): replaying 100 traces of
+        # the bots in any order reaches a few hundred markings, each held by
+        # the kernel with its successor and search entries
+        tree = seq(activity("lead"), par(*(xor(tau(), activity(f"b{i}")) for i in range(10))))
+        rng = random.Random(7)
+        traces = []
+        for n in range(100):
+            bots = [f"b{i}" for i in range(10) if rng.random() < 0.8]
+            rng.shuffle(bots)
+            traces.append(Trace(f"t{n}", tuple(Event(f"t{n}", a, second)
+                                               for second, a in enumerate(["lead"] + bots))))
+        for net in tree_to_net(tree), tree_to_net(tree):  # the first run warms up
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tally = tally_replays(net, (replay_trace(net, trace) for trace in traces))
+                assert tally.conforming == 100
+                reached = len({marking for move in tally.moves for marking in move})
+                del tally
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert reached > 300
+        # built from shared pairs, about 1.26 kB a marking on CPython 3.11;
+        # with a fresh tuple per pair, 1.81 kB
+        assert held / reached < 1500
 
 
 class TestJson:

@@ -17,7 +17,7 @@ from logutil import make_log
 from refreplay import reference_replay_log
 from reftally import reference_enrich, reference_entropy, reference_waiting_stats
 from repostminer.analysis import ChainConstructionError, replay_entropy
-from repostminer.discovery import activity, discover_tree, par, seq, tree_to_net
+from repostminer.discovery import activity, discover_tree, par, seq, tau, tree_to_net, xor
 from repostminer.eventlog import Event, EventLog, Trace
 from repostminer.petri import (PetriNet, StateCapError, is_block_structured, net_from_json,
                                net_to_json, reachability_graph)
@@ -278,6 +278,18 @@ class TestSilentSearch:
             counts = kernel.fire(counts, kernel.by_label[label][0])
         assert _silent_path(kernel, counts, None) is None
         assert reference_path(kernel, counts, None) is None
+
+    def test_completion_leaves_counts_alone(self):
+        # completion fires on a copy: the caller's counts come back as given
+        net = tree_to_net(seq(activity("A"), par(xor(tau(), activity("B")),
+                                                  xor(tau(), activity("C")))))
+        kernel = net.kernel
+        assert kernel.completion() is not None
+        counts = kernel.fire(net.initial_marking, kernel.by_label["A"][0])
+        given = dict(counts)
+        path, _ = _silent_path(kernel, counts, None)
+        assert path and counts == given
+        assert fire_all(kernel, counts, path) != given
 
     def test_unsound_net_completes_by_search(self):
         # A silent choice in front of a silent join: whichever branch fires,
