@@ -19,8 +19,8 @@ import re
 from collections import Counter
 from contextlib import nullcontext
 from datetime import datetime, timezone
-from itertools import chain
-from operator import add, itemgetter
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -131,6 +131,16 @@ class Dfg(NamedTuple):
     end_counts: dict[str, int]
 
 
+def _resized(column: memoryview, size: int) -> memoryview:
+    """``column``, a memoryview of machine ints over a bytearray, cut or
+    extended with zeros to ``size`` items; ``column`` itself is released."""
+    data, code, width = column.obj, column.format, column.itemsize
+    column.release()
+    del data[size * width:]
+    data.extend(bytes(size * width - len(data)))
+    return memoryview(data).cast(code)
+
+
 def _parse_iso8601(text: str) -> int:
     raw = text.strip()
     if raw.endswith(("Z", "z")):  # Python 3.10's fromisoformat rejects "Z"
@@ -178,9 +188,10 @@ def parse_log(source: IO[str] | str | Path,
     (U+FEFF, as "CSV UTF-8" exports write) is dropped before the header is
     split into cells, so a quoted first cell stays quoted.  Rows
     are grouped by trace id and sorted by timestamp within each trace
-    (stable, so simultaneous reposts keep file order).  Malformed rows are
-    rejected and logged with their line number; a missing mandatory column
-    raises :class:`SchemaError`.
+    (stable, so simultaneous reposts keep file order).  Malformed rows, an
+    epoch stamp outside the int64 range among them, are rejected and logged
+    with the line they start on; a missing mandatory column raises
+    :class:`SchemaError`.
 
     ISO-8601 stamps of the form ``YYYY-MM-DDTHH:MM:SS`` followed by ``Z``,
     ``z`` or ``+00:00``, each optionally after a zero fraction ``.000``,
@@ -190,7 +201,9 @@ def parse_log(source: IO[str] | str | Path,
     parse and gives the same value.
 
     The caps give exactly ``preprocess(parse_log(source, schema), max_events,
-    max_traces)``, but only the traces kept are ever built as events.
+    max_traces)``, but only the traces kept are ever built as events.  Until
+    the input ends, each valid row is held as 16 bytes of machine ints, and
+    each trace's start is kept up to date as its rows arrive.
     """
     check_caps(max_events, max_traces)
     iso = schema.timestamp_format == "iso8601"
@@ -227,80 +240,119 @@ def parse_log(source: IO[str] | str | Path,
         i_bot = positions[schema.bot_score] if schema.bot_score is not None else None
         width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
 
-        # Every valid row is held until the caps can be applied, as three
-        # shared objects in its trace's flat list: the start of its hour, its
-        # offset into the hour (an epoch stamp is held whole, offset 0) and
-        # the (account, score) pair of its account and score cells.
-        by_trace: dict[str, list[int | tuple[str, float | None]]] = {}
-        pairs: dict[str | tuple[str, str], tuple[str, float | None]] = {}
+        # Every valid row is held until the caps can be applied, as row
+        # ``count`` of three columns of machine ints: its epoch second, the
+        # number of its (account, score) pair and a link to the previous row
+        # of its trace, -1 at the trace's first.  Each trace, numbered in
+        # order of appearance, keeps its last row and its earliest second.
+        # The columns are memoryviews of bytearrays, grown by an eighth when
+        # full: an item is stored in less time than an ``array.append``
+        # takes, and no extension module is loaded.
+        seconds, pair_of, link, last, starts = (memoryview(bytearray()).cast(code)
+                                                for code in "qiiiq")
+        numbers: dict[str, int] = {}
+        pair_numbers: dict[str | tuple[str, str], int] = {}
+        pairs: list[tuple[str, float | None]] = []  # by number
         accounts: dict[str, str] = {}
-        blank = 0
-        rejected = 0
-        lineno = 1
-        for lineno, row in enumerate(reader, start=2):
+        count = room = rejected = latest = 0  # latest: at or after every second held
+        end = reader.line_num  # the last line of the header, then of each row
+        for row in reader:
+            before, end = end, reader.line_num  # the row starts on line before + 1
+            if count == room:
+                room += room // 8 + 1024
+                seconds, pair_of, link = (_resized(c, room) for c in (seconds, pair_of, link))
             try:
                 if len(row) <= width:
                     if not row:
-                        blank += 1
-                        continue
+                        continue  # a blank line
                     raise ValueError(f"expected at least {width + 1} fields, got {len(row)}")
                 trace_id = row[i_trace].strip()
                 if not trace_id:
                     raise ValueError("empty trace id")
                 key = row[i_act] if i_bot is None else (row[i_act], row[i_bot])
-                pair = pairs.get(key)
+                pair = pair_numbers.get(key)
                 if pair is None:
                     activity = row[i_act].strip()
                     if not activity:
                         raise ValueError("empty activity")
                 cell = row[i_ts]
                 if not iso:
-                    base, offset = int(float(cell)), 0
+                    second = int(float(cell))
                 else:
                     try:
-                        base = hours[cell[:14]]
-                        offset = tails[cell[14:]]
+                        second = hours[cell[:14]] + tails[cell[14:]]
                     except KeyError:
-                        base, offset = _parse_iso8601(cell), 0
+                        second = _parse_iso8601(cell)
                         match = strict.fullmatch(cell)
                         if match:
                             offset = tails.setdefault(
                                 cell[14:], 60 * int(match[1]) + int(match[2]))
-                            base = hours.setdefault(cell[:14], base - offset)
+                            hours.setdefault(cell[:14], second - offset)
+                try:
+                    seconds[count] = second  # the row's slot until it is held
+                except ValueError:  # the second does not fit an int64
+                    raise ValueError(f"timestamp {cell.strip()} outside int64") from None
                 if pair is None:
                     score = None
                     if i_bot is not None and row[i_bot].strip():
                         score = float(row[i_bot])
                         if not 0.0 <= score <= 1.0:
                             raise ValueError(f"bot score {score} outside [0, 1]")
-                    pair = pairs[key] = (accounts.setdefault(activity, activity), score)
+                    pair = pair_numbers[key] = len(pairs)
+                    pairs.append((accounts.setdefault(activity, activity), score))
             except (ValueError, OverflowError) as exc:
                 rejected += 1
-                _warn("line %d: rejected row (%s)", lineno, exc)
+                _warn("line %d: rejected row (%s)", before + 1, exc)
                 continue
-            flat = by_trace.get(trace_id)
-            if flat is None:
-                flat = by_trace[trace_id] = []
-            flat += (base, offset, pair)
+            n = numbers.get(trace_id)
+            if n is None:
+                n = numbers[trace_id] = len(numbers)
+                if n == len(starts):
+                    last, starts = (_resized(c, n + n // 8 + 256) for c in (last, starts))
+                link[count] = -1
+                starts[n] = second
+            else:
+                link[count] = last[n]
+                # only a row earlier than one held already can lower a start,
+                # which spares a dump in time order from reading ``starts``
+                if second < latest and second < starts[n]:
+                    starts[n] = second
+            if second > latest:
+                latest = second
+            last[n] = count
+            pair_of[count] = pair
+            count += 1
 
     if rejected:
-        _warn("rejected %d of %d rows", rejected, lineno - 1 - blank)
+        _warn("rejected %d of %d rows", rejected, count + rejected)
 
-    ids = list(by_trace)
-    stores = list(by_trace.values())
-    del by_trace
+    ids = list(numbers)
+    del numbers
+    kept = _earliest(len(ids), starts.__getitem__, max_traces)
+    del starts
+    # From the last kept trace to the first, so that the columns can be cut
+    # once half of them lies past every row of the traces still to build:
+    # an uncapped parse hands its rows back as it builds their events.
+    reach = list(accumulate((last[i] for i in kept), max))
     traces = []
     new = tuple.__new__  # an Event in half the time of its constructor
-    for i in _earliest(len(ids), lambda i: min(map(add, stores[i][::3], stores[i][1::3])),
-                       max_traces):
-        flat, stores[i] = stores[i], None  # the rows go once built
-        # a zero offset keeps the held int: an epoch stamp is not copied
-        rows = sorted(zip([b + o if o else b for b, o in zip(flat[::3], flat[1::3])],
-                          flat[2::3]), key=itemgetter(0))  # stable: ties keep file order
+    for i in reversed(kept):
+        reach.pop()
+        rows = []
+        r = last[i]
+        while r >= 0:
+            rows.append((seconds[r], pairs[pair_of[r]]))
+            r = link[r]
+        rows.reverse()
+        rows.sort(key=itemgetter(0))  # stable: ties keep file order
         trace_id = ids[i]
         traces.append(Trace(trace_id, tuple(
             new(Event, (trace_id, activity, timestamp, bot_score))
             for timestamp, (activity, bot_score) in rows[:max_events])))
+        if reach and reach[-1] < len(link) // 2:
+            seconds, pair_of, link = (_resized(c, reach[-1] + 1)
+                                      for c in (seconds, pair_of, link))
+    traces.reverse()
     return EventLog(tuple(traces))
 
 

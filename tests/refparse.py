@@ -5,7 +5,8 @@ valid row, no object shared between rows, and the earliest-N rule written
 out as a sort on (first timestamp, appearance).  The library keeps a compact
 store instead; both must give the same log and the same warnings.  Each
 ISO-8601 stamp is parsed on its own here, so the library's per-hour memo
-has an oracle too.
+has an oracle too.  A warning names the line its row starts on, and a
+timestamp outside the 64-bit range of the library's store is rejected.
 """
 
 import csv
@@ -41,6 +42,7 @@ def reference_parse(text: str, schema: LogSchema, max_events=None, max_traces=No
     warnings = []
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=schema.delimiter)
     positions = {name.strip(): i for i, name in enumerate(next(reader))}
+    end = reader.line_num  # the last line of the header, then of each row
     i_trace = positions[schema.trace_id]
     i_act = positions[schema.activity]
     i_ts = positions[schema.timestamp]
@@ -49,7 +51,8 @@ def reference_parse(text: str, schema: LogSchema, max_events=None, max_traces=No
 
     by_trace = {}
     total = rejected = 0
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        line, end = end + 1, reader.line_num
         if not row:
             continue
         total += 1
@@ -63,6 +66,8 @@ def reference_parse(text: str, schema: LogSchema, max_events=None, max_traces=No
             if not account:
                 raise ValueError("empty activity")
             timestamp = _seconds(row[i_ts], schema.timestamp_format)
+            if not -2 ** 63 <= timestamp < 2 ** 63:
+                raise ValueError(f"timestamp {row[i_ts].strip()} outside int64")
             score = None
             if i_bot is not None and row[i_bot].strip():
                 score = float(row[i_bot])
@@ -70,7 +75,7 @@ def reference_parse(text: str, schema: LogSchema, max_events=None, max_traces=No
                     raise ValueError(f"bot score {score} outside [0, 1]")
         except (ValueError, OverflowError) as exc:
             rejected += 1
-            warnings.append((logging.WARNING, f"line {lineno}: rejected row ({exc})"))
+            warnings.append((logging.WARNING, f"line {line}: rejected row ({exc})"))
             continue
         if trace_id not in by_trace:
             by_trace[trace_id] = []

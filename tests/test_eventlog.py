@@ -58,6 +58,29 @@ class TestParse:
         assert log.event_count() == 2
         assert any("line 3" in r.message for r in caplog.records)
 
+    def test_warning_names_the_line_its_row_starts_on(self):
+        # the quoted cells span lines 2-3 and 4-5, so the rows that follow
+        # start on lines 4 and 6; the count is of rows, not of lines
+        text = ('trace_id,activity,timestamp\n'
+                'p1,"multi\nline",5\np1,"two\nlines",oops\np1,b,oops\n')
+        log, warnings = parse_capturing(text, schema=EPOCH_SCHEMA)
+        assert [message for _, message in warnings] == [
+            "line 4: rejected row (could not convert string to float: 'oops')",
+            "line 6: rejected row (could not convert string to float: 'oops')",
+            "rejected 2 of 3 rows"]
+        assert log.traces[0].activities() == ("multi\nline",)
+        assert reference_parse(text, EPOCH_SCHEMA) == (log, warnings)
+
+    @pytest.mark.parametrize("cell", ["1e30", "-1e30", "9.3e18", "-9.3e18"])
+    def test_epoch_second_outside_int64_rejected(self, cell):
+        text = f"trace_id,activity,timestamp\np1,a,{cell}\np1,b,9e18\np1,c,-9e18\n"
+        log, warnings = parse_capturing(text, schema=EPOCH_SCHEMA)
+        assert [message for _, message in warnings] == [
+            f"line 2: rejected row (timestamp {cell} outside int64)", "rejected 1 of 3 rows"]
+        assert log.traces[0].events == (Event("p1", "c", -9 * 10 ** 18),
+                                        Event("p1", "b", 9 * 10 ** 18))
+        assert reference_parse(text, EPOCH_SCHEMA) == (log, warnings)
+
     @pytest.mark.parametrize("delimiter", [";;", ""])
     def test_delimiter_must_be_one_character(self, delimiter):
         with pytest.raises(SchemaError, match="delimiter"):
@@ -203,6 +226,8 @@ _bad_row = st.one_of(
     st.just(",a,3,0.5"),
     st.sampled_from(CAP_TRACES).map("{},,3,0.5".format),
     st.just(""),  # a blank line
+    # a number, but no epoch second the parse holds (nor an ISO-8601 stamp)
+    st.sampled_from(CAP_TRACES).map("{},a,1e30,0.5".format),
 )
 _cap = st.one_of(st.none(), st.integers(1, 4))
 
@@ -270,30 +295,74 @@ class TestCappedParse:
         assert [t.trace_id for t in capped] == [
             full.traces[i].trace_id for i in sorted(ranked)]
 
+    # Which traces a capped parse keeps is known only at the end, so each
+    # trace's start is tracked as its rows arrive: its earliest row may come
+    # last, after rows of traces that start later, and equal starts keep the
+    # order in which the traces first appear.
+    @pytest.mark.parametrize("iso", [False, True])
+    @pytest.mark.parametrize("rows, max_traces, kept", [
+        ([("b", 20), ("a", 50), ("b", 30), ("a", 10)], 1, ["a"]),
+        ([("a", 50), ("a", 20), ("b", 30)], 1, ["a"]),
+        ([("b", 20), ("a", 30), ("c", 20), ("a", 20)], 2, ["b", "a"]),
+        ([("b", 20), ("a", 30), ("c", 20), ("a", 20)], 1, ["b"]),
+    ])
+    def test_start_tracked_as_rows_arrive(self, iso, rows, max_traces, kept):
+        schema = LogSchema(timestamp_format="iso8601" if iso else "epoch")
+        text = "trace_id,activity,timestamp\n" + "".join(
+            f"{trace},x{i},{_stamp(1704067200 + second, 'Z') if iso else second}\n"
+            for i, (trace, second) in enumerate(rows))
+        log, warnings = parse_capturing(text, None, max_traces, schema=schema)
+        assert [t.trace_id for t in log] == kept
+        assert (log, warnings) == reference_parse(text, schema, None, max_traces)
+
     def test_peak_memory_per_row(self):
         # A capped parse holds every valid row until it returns.  On this
-        # 20,000-row dump of 80 accounts it peaks at about 78 bytes a row
-        # (CPython 3.11): three shared references a row, plus one int for an
-        # epoch stamp.  A flat list of a fresh int, shared account and shared
-        # score per row peaked at about 86; one tuple, account str and score
-        # float per row at about 213.
+        # 20,000-row dump of 80 accounts it peaks at about 32 bytes a row
+        # (CPython 3.11): a row is an int64 second and two int32s in three
+        # columns, and each of its 2,000 traces adds its id, number, last row
+        # and start.  Three shared references a row in a flat per-trace list
+        # peaked at about 78; one tuple, account str and score float per row
+        # at about 213.
         text, rows = _cascade_dump(2000, iso=False)
         log, peak = _traced_parse(text, CAP_SCHEMA)
         assert log.event_count() == 300
         assert peak / rows < 150
 
     # The bytes a held row adds, (peak(2N) - peak(N)) / N: the memo tables,
-    # filled alike by both dumps, and the interpreter's own state cancel.  An
-    # ISO row holds its hour start, offset into the hour and (account, score)
-    # pair, all shared: about 52 bytes on CPython 3.11, against 88-93 when it
-    # held a fresh int.  An epoch row still holds its int: about 76, against
-    # 81 before.
-    @pytest.mark.parametrize("iso, bound", [(True, 64), (False, 81)])
+    # filled alike by both dumps, and the interpreter's own state cancel.  A
+    # row is 16 bytes of columns whichever its stamp; with its share of its
+    # trace's id, number, last row and start, an ISO row adds about 40 bytes
+    # and an epoch row about 31 on CPython 3.11 (42 and 32 on 3.10).  Three
+    # shared references a row in a flat per-trace list took about 52 and 76,
+    # since an epoch row held its own int.
+    @pytest.mark.parametrize("iso, bound", [(True, 44), (False, 34)])
     def test_marginal_memory_per_held_row(self, iso, bound):
         schema = LogSchema(bot_score="bot", timestamp_format="iso8601" if iso else "epoch")
         (text, rows), (twice, _) = _cascade_dump(1000, iso), _cascade_dump(2000, iso)
         peak = _traced_parse(text, schema)[1]
         assert (_traced_parse(twice, schema)[1] - peak) / rows <= bound
+
+    # An uncapped parse builds every held row into an event, cutting the
+    # columns as it goes, so at its peak it holds little beyond the log it
+    # returns.  Peak minus the memory the returned log holds, per row, is
+    # about 12.5 bytes for epoch stamps on CPython 3.10-3.13, and 42-47
+    # for ISO-8601 ones, most of it the memo tables.  Per-trace flat lists,
+    # each let go once built, took 12.7-12.8 and 42.4-47.2 on the same
+    # versions: the bounds, so that no gather may hold a second copy of the
+    # rows.  (Peak per row alone moves with the interpreter's free lists.)
+    @pytest.mark.parametrize("iso, bound", [(True, 48), (False, 13)])
+    def test_uncapped_peak_over_log_per_row(self, iso, bound):
+        schema = LogSchema(bot_score="bot", timestamp_format="iso8601" if iso else "epoch")
+        text, rows = _cascade_dump(2000, iso)
+        stream = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            log = parse_log(stream, schema)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.event_count() == rows
+        assert (peak - held) / rows <= bound
 
     @pytest.mark.parametrize("caps", [(0, None), (None, 0), (-1, 3)])
     def test_cap_below_one_rejected(self, caps):
