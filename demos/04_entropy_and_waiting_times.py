@@ -50,7 +50,7 @@ def measure(name, log):
     print(f"  tree: {format_tree(discover_tree(log, 0.2))[:70]}")
     print(f"  mean of per-account mean waits: {stats.mean_of_means:,.0f} s")
     print(f"  Kolmogorov-Sinai entropy:       {replay_entropy(tally):.3f}")
-    return [s.mean for s in stats.per_activity.values()]
+    return list(stats.per_activity.values())
 
 
 rng = random.Random(7)

@@ -209,17 +209,20 @@ def measure(net: petri.PetriNet, tally: stochastic.ReplayTally,
     stats = stochastic.waiting_time_stats(tally)
     run = analysis.MeasuredRun(display_net, tally, stats, entropy_log_base)
     values = {m.key: m.value(run) for m in analysis.MEASURES}
-    waits = {a: s.mean for a, s in stats.per_activity.items()}
+    prefix_only = sum(index is None for _, index in tally.failures)
     files = {
         "report.json": petri.json_text({**values, "provenance": provenance,
-                                        "per_user_mean_waits": waits}),
+                                        "per_user_mean_waits": stats.per_activity}),
         "report.csv": (",".join(m.column for m in analysis.MEASURES) + "\n"
                        + _csv_row(values) + "\n"),
         "conformance.json": petri.json_text({
             "total": tally.conforming + len(tally.failures),
             "conforming": tally.conforming,
             "nonconforming": len(tally.failures),
-            "failures": [{"trace_id": trace_id, "failed_index": index}
+            "prefix_only": prefix_only,
+            "failing": len(tally.failures) - prefix_only,
+            "failures": [{"trace_id": trace_id, "failed_index": index,
+                          "kind": "prefix_only" if index is None else "failing"}
                          for trace_id, index in tally.failures],
         }),
     }

@@ -1,9 +1,12 @@
-"""Labeled Petri nets: firing semantics, free-choice check, reachability.
+"""Labeled Petri nets: firing semantics, free-choice and block-structure
+checks, reachability.
 
 Transitions carry either an activity label (an account id) or ``None`` for
 silent transitions.  A :class:`Marking` is a frozenset of ``(place, count)``
 pairs; each net's firing :class:`Kernel` holds every marking it reaches
 once, and replay, ``fire`` and the reachability graph all step through it.
+Replay's silent-path search, with its relevance sets, completion distance
+and memos, is ``stochastic``'s; the kernel only keeps it for the net.
 """
 
 from __future__ import annotations
@@ -149,44 +152,25 @@ def add_tokens(counts: dict[str, int], places: Iterable[str]) -> None:
         counts[p] = counts.get(p, 0) + 1
 
 
-class Completion(NamedTuple):
-    """A net's completion distance, in units of ``1/scale`` silent firings.
-
-    ``cost`` maps every place to what one token there costs to complete
-    (``None``: no silent path empties the place); ``steps`` are the silent
-    transitions whose firing lowers the distance by exactly one firing
-    (``drop == scale``), in net order.
-    """
-
-    scale: int
-    cost: dict[str, int | None]
-    steps: tuple[str, ...]
-
-
 class Kernel:
     """A net compiled for firing: the one implementation of its semantics.
 
     Token counts are dicts holding only positive counts.  A transition is
     enabled when each input place holds a token; firing it takes one token
     from each pure input place and puts one on each pure output place, so a
-    self-loop place keeps its token.  ``silent`` and the tuples of
-    ``by_label`` keep net order, the tie-break order of every search.
-
-    Two things replay's silent-path searches use are built on first use and
-    kept here, so every caller of the net shares them: ``relevant(label)``,
-    the silent transitions that can feed a transition with that label, and
-    ``completion()``, the exact completion distance of a block-structured
-    net (see :meth:`completion`).
+    self-loop place keeps its token.  ``silent`` keeps net order, the
+    tie-break order of every search.
 
     It is also the net's one table of markings: a state is a
     :class:`Marking` held once and built from pairs held once, ``start`` the
     initial one, and ``succ`` maps ``(state, t)`` to the state after firing
-    ``t``.  Replay memoizes its searches here, in ``paths`` and ``searches``.
+    ``t``.  ``search`` is ``None`` until the net's first replay, which keeps
+    its silent-path search state there (``stochastic``), so that every
+    replay on the net shares it.
     """
 
-    __slots__ = ("pre", "post", "pure_in", "pure_out", "needs", "silent", "by_label",
-                 "feeders", "places", "marked", "_relevant", "_completion",
-                 "start", "succ", "paths", "searches", "_states", "_pairs", "_reads")
+    __slots__ = ("pre", "post", "pure_in", "pure_out", "needs", "silent", "places",
+                 "marked", "start", "succ", "_states", "_pairs", "search")
 
     def __init__(self, net: PetriNet) -> None:
         nodes, ts = net.places + net.transitions, net.transitions
@@ -201,22 +185,13 @@ class Kernel:
         self.pure_out = {t: tuple(p for p in post[t] if p not in pre[t]) for t in ts}
         self.needs = {t: frozenset(pre[t]) for t in ts}
         self.silent = tuple(t for t in ts if net.labels[t] is None)
-        self.by_label: dict[str, tuple[str, ...]] = {}
-        for t in ts:
-            if (label := net.labels[t]) is not None:
-                self.by_label[label] = self.by_label.get(label, ()) + (t,)
-        self.feeders = {p: tuple(t for t in pre[p] if net.labels[t] is None)
-                        for p in net.places}  # the silent producers of each place
         self.places = net.places
         self.marked = {p: n for p, n in net.initial_marking.items() if n > 0}
-        self._relevant: dict[str, tuple[str, ...]] = {}
         self.start = _marking(Marking, self.marked.items())
         self._states = {self.start: self.start}
         self._pairs = {pair: pair for pair in self.start}
         self.succ: dict[tuple[Marking, str], Marking] = {}
-        self.paths: dict[tuple[Marking, str | None], tuple | None] = {}
-        self.searches: dict[tuple[str, tuple], tuple | None] = {}
-        self._reads: dict[str, tuple[str, ...]] = {}
+        self.search: object = None
 
     def can_fire(self, counts: Mapping[str, int], t: str) -> bool:
         return counts.keys() >= self.needs[t]
@@ -259,97 +234,6 @@ class Kernel:
                 counts = None
             state = after
         return state
-
-    def reads(self, label: str) -> tuple[str, ...]:
-        """The places a search for ``label`` tests, in net order: the inputs
-        of its transitions and of the :meth:`relevant` ones it fires.  No
-        other place's tokens can change the search's result."""
-        self.relevant(label)
-        return self._reads[label]
-
-    def relevant(self, label: str) -> tuple[str, ...]:
-        """The silent transitions backward-reachable, through silent
-        transitions, from the input places of the transitions labeled
-        ``label``, in net order.
-
-        A silent firing outside this set puts no token where a transition
-        of the set or the goal needs one, so dropping it from a path never
-        disables a later firing: every shortest silent path to the goal
-        uses these transitions only.
-        """
-        found = self._relevant.get(label)
-        if found is None:
-            places = {p for g in self.by_label.get(label, ()) for p in self.pre[g]}
-            stack, feeding = list(places), set()
-            while stack:
-                for t in self.feeders[stack.pop()]:
-                    if t not in feeding:
-                        feeding.add(t)
-                        fresh = [q for q in self.pre[t] if q not in places]
-                        places.update(fresh)
-                        stack += fresh
-            found = self._relevant[label] = tuple(t for t in self.silent if t in feeding)
-            self._reads[label] = tuple(p for p in self.places if p in places)
-        return found
-
-    def completion(self) -> Completion | None:
-        """The net's exact completion distance, or ``None`` without a
-        certificate that it is exact.
-
-        A place with no output arcs costs 0; any other place costs the
-        minimum, over its silent output transitions t, of ``(1 + the costs
-        of t's output places) / |pre(t)|``, which shares a join's firing
-        among its inputs (labeled outputs do not count; loops are resolved
-        by iterating to a fixed point).  A marking's distance is the sum of
-        its tokens' costs, and firing a silent t lowers it by ``drop(t) =
-        cost(pre(t)) - cost(post(t))``.  Costs are integers in units of
-        ``1/scale`` firings, ``scale`` being the product of the silent
-        transitions' input counts, so comparisons are exact.
-
-        The certificate is :func:`is_block_structured`: three classical
-        reduction rules (twins, series fusion and self-loop elimination;
-        Murata, Proc. IEEE 1989) reduce the net to its one marked place,
-        which they do on every process tree's net.  From each reachable
-        marking of such a net the distance is the fewest silent firings to
-        a dead marking.  On any other net, or where a cost would not divide
-        evenly, this returns ``None``.
-        """
-        try:
-            return self._completion
-        except AttributeError:  # first use
-            self._completion = (_completion_distance(self)
-                                if is_block_structured(self) else None)
-            return self._completion
-
-
-def _completion_distance(kernel: Kernel) -> Completion | None:
-    pre, post, silent = kernel.pre, kernel.post, kernel.silent
-    is_silent = set(silent)
-    scale = 1
-    for t in silent:
-        scale *= len(pre[t])
-    cost: dict[str, int | None] = {p: None if post[p] else 0 for p in kernel.places}
-    changed = True
-    while changed:  # costs only fall, in steps of at least 1/scale
-        changed = False
-        for p in reversed(kernel.places):
-            for t in post[p]:
-                if t not in is_silent:
-                    continue
-                outs = [cost[q] for q in post[t]]
-                if None in outs:
-                    continue
-                c, rest = divmod(scale + sum(outs), len(pre[t]))
-                if rest:
-                    return None
-                if cost[p] is None or c < cost[p]:
-                    cost[p], changed = c, True
-
-    def lowers_by_one(t: str) -> bool:
-        ins, outs = [cost[p] for p in pre[t]], [cost[p] for p in post[t]]
-        return None not in ins + outs and sum(ins) - sum(outs) == scale
-
-    return Completion(scale, cost, tuple(filter(lowers_by_one, silent)))
 
 
 def is_block_structured(kernel: Kernel) -> bool:

@@ -6,7 +6,9 @@ and when it fired.  One walk over the replays, :func:`tally_replays`,
 gathers what every later stage reads: the firing counts behind the arc
 probabilities, the waits behind the per-account delay distributions and
 waiting statistics, the marking moves whose entropy
-``analysis.replay_entropy`` takes, and the failed replays.  Simulation draws
+``analysis.replay_entropy`` takes, and the failed replays.  Replay's
+silent-path search, with its relevance plans, completion distance and
+memos, lives here too, one state per net (``_Search``).  Simulation draws
 from numpy's PCG64 stream reimplemented in pure Python, so nothing here
 imports numpy.
 """
@@ -22,8 +24,8 @@ from itertools import accumulate
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .eventlog import Event, EventLog, Trace
-from .petri import (Completion, Kernel, Marking, PetriNet, add_tokens, is_free_choice,
-                    json_text, net_from_doc, net_to_doc, remove_tokens)
+from .petri import (Kernel, Marking, PetriNet, add_tokens, is_block_structured,
+                    is_free_choice, json_text, net_from_doc, net_to_doc, remove_tokens)
 from .record import Record
 
 PROBABILITY_TOLERANCE = 1e-9
@@ -60,14 +62,6 @@ def mean(values: Sequence[float]) -> float:
     return special / len(values) if special else num / (den * len(values))
 
 
-def median(values: Iterable[float]) -> float:
-    """``statistics.median``: the middle value, or the two middle values'
-    mean, of the values sorted as ``statistics`` sorts them."""
-    data = sorted(values)
-    half = len(data) // 2
-    return data[half] if len(data) % 2 else (data[half - 1] + data[half]) / 2
-
-
 class EmpiricalDelay(Record):
     """Observed waiting times of one transition, in seconds."""
 
@@ -99,6 +93,13 @@ class Firing(NamedTuple):
 
 
 class ReplayResult(NamedTuple):
+    """One replay and how it ended.  A fitting replay (``conforming``) fired
+    every event and completed to a dead marking.  Otherwise ``failed_index``
+    is the index of the first event no silent path could enable, or ``None``
+    when every event fired but no silent path completes the trace: the trace
+    fits only as a prefix.  ``firings`` are those made before the replay
+    stopped."""
+
     trace_id: str
     firings: tuple[Firing, ...]
     conforming: bool
@@ -143,47 +144,154 @@ class StochasticPetriNet(Record):
         self.delay_distributions = delay_distributions
 
 
-# A silent-path search result: (tau path, goal transition) for an event,
-# (tau path, None) for completion, or None when no silent path exists.
-SilentPath = tuple[tuple[str, ...], str | None] | None
-# A SilentPath, the state after it and the transitions it fires (tau path, goal).
-Step = tuple[tuple[str, ...], str | None, Marking, tuple[str, ...]] | None
+class _Search:
+    """Replay's silent-path search state for one net, kept in its kernel's
+    ``search`` slot from the net's first replay on, so that every replay on
+    the net shares it: each account's :func:`_plan`, the net's
+    :func:`_completion_distance` if it is block-structured (else ``None``)
+    and two memos.  ``steps`` maps ``(state, account)``, with ``None`` for
+    completion, to the state after the step and the transitions it fires, or
+    to ``None`` when there is no step; ``searches`` maps an account and the
+    counts of its plan's ``reads`` to the transitions a goal search fires.
+    """
+
+    __slots__ = ("plans", "completion", "steps", "searches")
+
+    def __init__(self, net: PetriNet) -> None:
+        kernel, labels, goals = net.kernel, net.labels, {}
+        for t in net.transitions:
+            if (label := labels[t]) is not None:
+                goals[label] = goals.get(label, ()) + (t,)
+        feeders = {p: [t for t in kernel.pre[p] if labels[t] is None] for p in net.places}
+        self.plans = {label: _plan(kernel, feeders, ts) for label, ts in goals.items()}
+        self.completion = (_completion_distance(kernel)
+                           if is_block_structured(kernel) else None)
+        self.steps: dict[tuple[Marking, str | None], tuple | None] = {}
+        self.searches: dict[tuple[str, tuple], tuple[str, ...] | None] = {}
+
+
+def _with_search(net: PetriNet) -> Kernel:
+    """The net's kernel, its search state built if it holds none."""
+    kernel = net.kernel
+    if kernel.search is None:
+        kernel.search = _Search(net)
+    return kernel
+
+
+def _plan(kernel: Kernel, feeders: Mapping[str, list[str]], goals: tuple[str, ...],
+          ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """How replay searches for ``goals``, one account's transitions:
+    ``(goals, among, reads)``, with ``among`` the silent transitions
+    backward-reachable, through silent transitions, from the goals' input
+    places, and ``reads`` the input places of the goals and of ``among``,
+    both in net order.  A silent firing outside ``among`` puts no token
+    where a transition of ``among`` or a goal needs one, so every shortest
+    silent path to a goal uses ``among`` only, and no place outside
+    ``reads`` can change the search's result.  ``feeders`` maps each place
+    to its silent input transitions."""
+    pre = kernel.pre
+    places = {p for g in goals for p in pre[g]}
+    stack, feeding = list(places), set()
+    while stack:
+        for t in feeders[stack.pop()]:
+            if t not in feeding:
+                feeding.add(t)
+                fresh = [q for q in pre[t] if q not in places]
+                places.update(fresh)
+                stack += fresh
+    return (goals, tuple(t for t in kernel.silent if t in feeding),
+            tuple(p for p in kernel.places if p in places))
+
+
+def _completion_distance(kernel: Kernel,
+                         ) -> tuple[int, dict[str, int | None], tuple[str, ...]] | None:
+    """The net's exact completion distance ``(scale, cost, steps)`` in units
+    of ``1/scale`` silent firings, or ``None`` where a cost would not divide
+    evenly.  ``cost`` maps every place to what one token there costs to
+    complete (``None``: no silent path empties the place); ``steps`` are the
+    silent transitions whose firing lowers the distance by exactly one
+    firing (``drop == scale``), in net order.
+
+    A place with no output arcs costs 0; any other place costs the minimum,
+    over its silent output transitions t, of ``(1 + the costs of t's output
+    places) / |pre(t)|``, which shares a join's firing among its inputs
+    (labeled outputs do not count; loops are resolved by iterating to a
+    fixed point).  A marking's distance is the sum of its tokens' costs, and
+    firing a silent t lowers it by ``drop(t) = cost(pre(t)) -
+    cost(post(t))``.  Costs are integers in units of ``1/scale`` firings,
+    ``scale`` being the product of the silent transitions' input counts, so
+    comparisons are exact.
+
+    The distance is exact on a net that ``petri.is_block_structured``
+    certifies: three classical reduction rules (Murata, Proc. IEEE 1989)
+    reduce it to its one marked place, as they do every process tree's net.
+    From each reachable marking of such a net the distance is the fewest
+    silent firings to a dead marking.
+    """
+    pre, post, silent = kernel.pre, kernel.post, kernel.silent
+    is_silent = set(silent)
+    scale = 1
+    for t in silent:
+        scale *= len(pre[t])
+    cost: dict[str, int | None] = {p: None if post[p] else 0 for p in kernel.places}
+    changed = True
+    while changed:  # costs only fall, in steps of at least 1/scale
+        changed = False
+        for p in reversed(kernel.places):
+            for t in post[p]:
+                if t not in is_silent:
+                    continue
+                outs = [cost[q] for q in post[t]]
+                if None in outs:
+                    continue
+                c, rest = divmod(scale + sum(outs), len(pre[t]))
+                if rest:
+                    return None
+                if cost[p] is None or c < cost[p]:
+                    cost[p], changed = c, True
+
+    def lowers_by_one(t: str) -> bool:
+        ins, outs = [cost[p] for p in pre[t]], [cost[p] for p in post[t]]
+        return None not in ins + outs and sum(ins) - sum(outs) == scale
+
+    return scale, cost, tuple(filter(lowers_by_one, silent))
 
 
 def _silent_path(kernel: Kernel, counts: dict[str, int],
-                 goal_label: str | None) -> SilentPath:
-    """Shortest deterministic silent-firing path.
+                 goal_label: str | None) -> tuple[str, ...] | None:
+    """The transitions of the shortest deterministic silent-firing path.
 
-    With a ``goal_label``, returns ``(tau_path, transition)`` where the final
-    transition carries that label and is enabled after the path.  With
-    ``goal_label=None``, returns ``(tau_path, None)`` where the path reaches
-    the nearest dead marking (no transition enabled at all); ``None`` when no
-    such path exists.  Search depth is bounded by the number of silent
-    transitions in the net.  Ties break first on the fewest silent firings,
-    then on net transition order: the path is the lexicographically least,
-    in net order, of the shortest ones, and the goal transition the first
-    enabled one.  The result depends only on the net, the marking and the
-    goal, which is what lets replay memoize it.
+    With a ``goal_label``, the silent path and then a transition carrying
+    that label, enabled after the path.  With ``goal_label=None``, the
+    silent path to the nearest dead marking (no transition enabled at all).
+    ``None`` when no such path exists.  Search depth is bounded by the
+    number of silent transitions in the net.  Ties break first on the
+    fewest silent firings, then on net transition order: the path is the
+    lexicographically least, in net order, of the shortest ones, and the
+    goal transition the first enabled one.  The result depends only on the
+    net, the marking and the goal, which is what lets replay memoize it.
 
-    A goal search is a breadth-first search (BFS) that expands only
-    ``kernel.relevant(goal_label)``, the silent transitions that can feed
-    the goal; every shortest path uses those only.  Completion descends the
-    net's exact completion distance (``kernel.completion()``, certified by
-    the net being block-structured): from each marking it fires the first
-    enabled silent transition, in net order, that lowers the distance by
-    one firing, which is the next step of the least shortest path.  It
-    returns ``None`` when a token has no silent way out, when no such step
-    is enabled, or when the distance exceeds the depth bound.  On a net
+    A goal search is a breadth-first search (BFS) that expands only the
+    silent transitions of the account's plan, those that can feed the goal;
+    every shortest path uses those only.  Completion descends the net's
+    exact completion distance (certified by the net being
+    block-structured): from each marking it fires the first enabled
+    silent transition, in net order, that lowers the distance by one
+    firing, which is the next step of the least shortest path.  It returns
+    ``None`` when a token has no silent way out, when no such step is
+    enabled, or when the distance exceeds the depth bound.  On a net
     without the certificate completion is a BFS over every silent
-    transition.
+    transition.  The search state is the kernel's (:func:`_with_search`).
     """
+    search: _Search = kernel.search  # type: ignore[assignment]
     if goal_label is not None:
-        goals = kernel.by_label.get(goal_label, ())
-        among = kernel.relevant(goal_label)
-    elif (completion := kernel.completion()) is None:
+        if (plan := search.plans.get(goal_label)) is None:
+            return None  # no transition carries the label
+        goals, among, _ = plan
+    elif search.completion is None:
         goals, among = None, kernel.silent
     else:
-        return _descend(kernel, completion, counts)
+        return _descend(kernel, search.completion, counts)
     max_depth = len(kernel.silent)
     queue: deque[tuple[dict[str, int], tuple[str, ...]]] = deque([(counts, ())])
     seen = {frozenset(counts.items())}
@@ -191,9 +299,9 @@ def _silent_path(kernel: Kernel, counts: dict[str, int],
         current, path = queue.popleft()
         if goals is None:
             if not kernel.enabled(current):
-                return path, None
+                return path
         elif hits := kernel.enabled(current, goals):
-            return path, hits[0]
+            return path + (hits[0],)
         if len(path) >= max_depth:
             continue
         for t in kernel.enabled(current, among):
@@ -205,8 +313,8 @@ def _silent_path(kernel: Kernel, counts: dict[str, int],
     return None
 
 
-def _descend(kernel: Kernel, completion: Completion,
-             counts: dict[str, int]) -> SilentPath:
+def _descend(kernel: Kernel, completion: tuple[int, dict[str, int | None], tuple[str, ...]],
+             counts: dict[str, int]) -> tuple[str, ...] | None:
     """The completion path down ``completion``'s distance from ``counts``."""
     scale, cost, steps = completion
     distance = 0
@@ -227,30 +335,29 @@ def _descend(kernel: Kernel, completion: Completion,
         kernel._fire(counts, t)
         path.append(t)
         distance -= scale
-    return tuple(path), None
+    return tuple(path)
 
 
 _UNSEEN = object()
 
 
-def _step(kernel: Kernel, state: Marking, goal: str | None) -> Step:
-    """``_silent_path`` from ``state`` for ``goal`` and the state it leads
-    to, memoized on the kernel by state; a goal search is also memoized by
-    the marking of ``kernel.reads(goal)``, the places that decide it."""
-    if (found := kernel.paths.get((state, goal), _UNSEEN)) is not _UNSEEN:
+def _step(kernel: Kernel, state: Marking,
+          goal: str | None) -> tuple[Marking, tuple[str, ...]] | None:
+    """The state after ``_silent_path`` from ``state`` for ``goal``, and the
+    transitions it fires, memoized by state in the kernel's search state; a
+    goal search is also memoized by the counts of the places its plan reads."""
+    search: _Search = kernel.search  # type: ignore[assignment]
+    if (found := search.steps.get((state, goal), _UNSEEN)) is not _UNSEEN:
         return found
     counts = dict(state)
-    if goal is None:
-        found = _silent_path(kernel, counts, None)
+    if goal is None or (plan := search.plans.get(goal)) is None:
+        fired = _silent_path(kernel, counts, goal)
     else:
-        near = (goal, tuple(map(counts.get, kernel.reads(goal))))
-        if (found := kernel.searches.get(near, _UNSEEN)) is _UNSEEN:
-            found = kernel.searches[near] = _silent_path(kernel, counts, goal)
-    if found is not None:
-        path, target = found
-        steps = path if target is None else path + (target,)
-        found = (path, target, kernel.successor(state, *steps), steps)
-    kernel.paths[state, goal] = found
+        near = (goal, tuple(map(counts.get, plan[2])))
+        if (fired := search.searches.get(near, _UNSEEN)) is _UNSEEN:
+            fired = search.searches[near] = _silent_path(kernel, counts, goal)
+    found = search.steps[state, goal] = (
+        None if fired is None else (kernel.successor(state, *fired), fired))
     return found
 
 
@@ -267,23 +374,26 @@ def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
     On a block-structured net, which every discovered net is, completion
     descends the net's exact completion distance, one scan of its silent
     transitions per firing; elsewhere it is a breadth-first search.  If
-    some event cannot be enabled the result is nonconforming at that index.
+    some event cannot be enabled the replay fails at that index; if no
+    silent path completes the trace, it fits only as a prefix (see
+    :class:`ReplayResult`).
 
     The current marking is a state of the net's kernel.  A search depends
     only on the net, the marking and the account, so its result and the
-    state it leads to are memoized on the kernel by (state, account), with
-    ``None`` for completion, and shared by every replay on the net; a goal
-    search is also memoized by the marking of the places it tests.
+    state it leads to are memoized by (state, account), with ``None`` for
+    completion, in the net's search state (:class:`_Search`), which every
+    replay on the net shares; a goal search is also memoized by the marking
+    of the places it tests.
 
     Each place holds a heap of its tokens' arrival times.  A firing takes
     the oldest token of each input place and is enabled when the latest of
     those arrived; a silent firing happens at once and passes that time
     on, a labeled one stamps its outputs with the event's timestamp.
     """
-    kernel, state = net.kernel, net.kernel.start
+    kernel = _with_search(net)
     pre, pure_in, pure_out, labels = kernel.pre, kernel.pure_in, kernel.pure_out, net.labels
     pop, push, new = heapq.heappop, heapq.heappush, tuple.__new__
-    events = trace.events
+    events, state = trace.events, kernel.start
     stamp = float(events[0].timestamp) if events else 0.0
     tokens = {p: [stamp] * n for p, n in kernel.marked.items()}
     firings: list[Firing] = []
@@ -291,10 +401,9 @@ def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
     for index, event in enumerate((*events, None)):  # None: complete the trace
         found = _step(kernel, state, None if event is None else event.activity)
         if found is None:
-            if event is None:
-                break
-            return ReplayResult(trace.trace_id, tuple(firings), False, index)
-        state, steps = found[2:]
+            return ReplayResult(trace.trace_id, tuple(firings), False,
+                                None if event is None else index)
+        state, steps = found
         if event is not None:
             stamp = float(event.timestamp)
         for t in steps:
@@ -313,20 +422,21 @@ def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
 
 
 def replay_log(net: PetriNet, log: EventLog) -> list[ReplayResult]:
-    """Replay every trace; the silent-path memo on the net's kernel carries
-    over from trace to trace and from call to call."""
+    """Replay every trace; the net's search state carries over from trace to
+    trace and from call to call."""
     return [replay_trace(net, trace) for trace in log.traces]
 
 
 class ReplayTally(NamedTuple):
     """What the replays of one net show, gathered in one walk.
 
-    Of the conforming replays, ``fired`` counts each transition's firings;
-    ``waits`` maps each labeled transition that fired to its label and its
-    clamped waits; ``moves`` counts the moves between markings, each replay
-    closed back from its end to the initial marking, in the order they were
-    first seen.  ``failures`` holds each nonconforming replay's ``(trace_id,
-    failed_index)``.  Everything is in replay order, then firing order.
+    Of the conforming (fitting) replays, ``fired`` counts each transition's
+    firings; ``waits`` maps each labeled transition that fired to its label
+    and its clamped waits; ``moves`` counts the moves between markings, each
+    replay closed back from its end to the initial marking, in the order
+    they were first seen.  ``failures`` holds each other replay's
+    ``(trace_id, failed_index)``, the index ``None`` for a prefix-only one.
+    Everything is in replay order, then firing order.
     """
 
     conforming: int
@@ -417,21 +527,15 @@ def enrich(net: PetriNet, log: EventLog) -> StochasticPetriNet:
     return enrich_from_replays(net, replay_log(net, log))
 
 
-class ActivityWaits(NamedTuple):
-    mean: float
-    median: float
-    count: int
-
-
 class WaitingStats(NamedTuple):
-    """Per-account waiting summaries plus the mean of per-account means."""
+    """Each account's mean wait plus the mean of those means."""
 
-    per_activity: dict[str, ActivityWaits]
+    per_activity: dict[str, float]
     mean_of_means: float
 
 
 def waiting_time_stats(tally: ReplayTally) -> WaitingStats:
-    """Summarize a tally's waits per account, the waits of transitions that
+    """Average a tally's waits per account, the waits of transitions that
     share a label together; the headline number averages the per-account
     means, so prolific accounts do not dominate."""
     waits: dict[str, list[float]] = {}
@@ -439,10 +543,8 @@ def waiting_time_stats(tally: ReplayTally) -> WaitingStats:
         waits.setdefault(label, []).extend(samples)
     if not waits:
         raise StatsError("no conforming replay with observable firings")
-    per_activity = {a: ActivityWaits(mean(v), float(median(v)), len(v))
-                    for a, v in sorted(waits.items())}
-    overall = mean([s.mean for s in per_activity.values()])
-    return WaitingStats(per_activity, overall)
+    per_activity = {a: mean(v) for a, v in sorted(waits.items())}
+    return WaitingStats(per_activity, mean(list(per_activity.values())))
 
 
 def fspn_to_json(fspn: StochasticPetriNet) -> str:

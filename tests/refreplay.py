@@ -1,11 +1,11 @@
 """Reference token replay: one silent-path memo per ``replay_log`` call,
 keyed by a frozenset of the marking that each event rebuilds from the
-token heaps.  The replay that memoizes on the net's kernel must give the
-same results, whatever replays ran on the net before."""
+token heaps.  The replay that memoizes in the net's shared search state
+must give the same results, whatever replays ran on the net before."""
 
 import heapq
 
-from repostminer.stochastic import Firing, ReplayResult, _silent_path
+from repostminer.stochastic import Firing, ReplayResult, _silent_path, _with_search
 
 
 def _fire_timed(kernel, tokens, t, fired_at=None):
@@ -28,7 +28,7 @@ def _fire_timed(kernel, tokens, t, fired_at=None):
 
 
 def reference_replay_trace(net, trace, memo):
-    kernel = net.kernel
+    kernel = _with_search(net)
     start_time = float(trace.events[0].timestamp) if trace.events else 0.0
     tokens = {p: [start_time] * n for p, n in net.initial_marking.items() if n > 0}
     firings = []
@@ -49,14 +49,15 @@ def reference_replay_trace(net, trace, memo):
         found = search(event.activity)
         if found is None:
             return ReplayResult(trace.trace_id, tuple(firings), False, index)
-        path, target = found
+        *path, target = found
         fire_path(path)
         enabled_at, fired_at = _fire_timed(kernel, tokens, target, float(event.timestamp))
         firings.append(Firing(target, event.activity, enabled_at, fired_at))
 
     completion = search(None)
-    if completion is not None:
-        fire_path(completion[0])
+    if completion is None:  # every event fired, but the trace fits only as a prefix
+        return ReplayResult(trace.trace_id, tuple(firings), False, None)
+    fire_path(completion)
     return ReplayResult(trace.trace_id, tuple(firings), True, None)
 
 

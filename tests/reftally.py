@@ -8,8 +8,8 @@ import math
 from collections import Counter
 
 from repostminer.analysis import ChainConstructionError, check_log_base
-from repostminer.stochastic import (ActivityWaits, EmpiricalDelay, EnrichmentError, StatsError,
-                                    StochasticPetriNet, WaitingStats, mean, median)
+from repostminer.stochastic import (EmpiricalDelay, EnrichmentError, StatsError,
+                                    StochasticPetriNet, WaitingStats, mean)
 
 
 def reference_enrich(net, replays):
@@ -48,10 +48,8 @@ def reference_waiting_stats(replays):
                 waits.setdefault(firing.label, []).append(firing.wait)
     if not waits:
         raise StatsError("no conforming replay with observable firings")
-    per_activity = {a: ActivityWaits(mean(v), float(median(v)), len(v))
-                    for a, v in sorted(waits.items())}
-    overall = mean([s.mean for s in per_activity.values()])
-    return WaitingStats(per_activity, overall)
+    per_activity = {a: mean(v) for a, v in sorted(waits.items())}
+    return WaitingStats(per_activity, mean(list(per_activity.values())))
 
 
 def reference_entropy(net, replays, log_base=None):

@@ -13,7 +13,9 @@ is left out on purpose: its provenance may change by design.  Its CSV twin
 ``report.csv`` is pinned, as are the reduced ``model.dot`` and the
 ``compare.json`` of the flower run against the broadcast run, so the
 measures, their column order and how ``compare`` relates them stay fixed;
-adding or changing a measure updates these digests on purpose.
+adding or changing a measure updates these digests on purpose.  The two
+``conformance.json`` digests changed when the file gained its
+``prefix_only`` and ``failing`` counts and a ``kind`` per failure.
 
 Run ``python tests/test_bytes.py`` to print the digests of the current code.
 """
@@ -33,10 +35,10 @@ from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet, fspn_to_j
 PINNED = {
     "flower/net.json": "57b8687c8cc428ad9842cc519373c7a342b036b50c3ddbe71b7316d42ae2a300",
     "flower/fspn.json": "3f838d45c315398fddb038dd608d36682df89aaf9b787589bcec9d57a955af6a",
-    "flower/conformance.json": "0b9d08ef8e45822f0aafd19a6568268bc3a6c1c9ff6c4a7ea4a25a20a9f960fe",
+    "flower/conformance.json": "5e419b9a9917f7e702bbd8eb6b7227d01769db54e95ed68785214b8b07f8d8c4",
     "broadcast/net.json": "7a6012000c0f1b4594b3c1034ec6a31c2949017f2b13b693f84004da0bce44eb",
     "broadcast/fspn.json": "2c94727e8a394a9aa1bde561cc2d1c0a15691133a642b7e68eeeaeee99a6be9b",
-    "broadcast/conformance.json": "79ada63e93c8ba4cecd4dcff513bbe2b80925e61ef2078936dbc395ab12376bb",
+    "broadcast/conformance.json": "95aa8900023f2232a42da966fea344dcfeb2d8b3ed84c8fff923e2f0225a17c1",
     "simulated.csv": "7ae93544c6db1f5c28906cdcbb8114a256c76960949341dfa4edf61a10592386",
     "broadcast-simulated.csv": "06cbb029b873b02aec1ab429a4d16e5101d1c125812e10ca358f120adca7e08c",
     "loop-simulated.csv": "3e60c86e84339c0ccabebe2503d7663e4022036087eda015677a0f93a9bd40da",

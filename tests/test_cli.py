@@ -355,24 +355,35 @@ class TestCommands:
     def test_analyze_conformance_with_a_failing_trace(self, tmp_path, fixture_log):
         out = tmp_path / "out"
         main(["discover", "--input", str(fixture_log), "--out", str(out)])
-        log = tmp_path / "more.csv"  # post3 fires A after C, where the net has no A
+        # post3 fires A after C, where the net has no A; post4 stops after A,
+        # where the net still waits for B and C
+        log = tmp_path / "more.csv"
         log.write_text(FIXTURE_CSV.replace("post2,A,", "post3,A,2019-01-03T00:00:00Z\n"
                                            "post3,C,2019-01-03T00:00:01Z\n"
-                                           "post3,A,2019-01-03T00:00:02Z\npost2,A,", 1))
+                                           "post3,A,2019-01-03T00:00:02Z\n"
+                                           "post4,A,2019-01-04T00:00:00Z\npost2,A,", 1))
         redo = tmp_path / "redo"
         assert main(["analyze", "--net", str(out / "fixture" / "net.json"),
                      "--input", str(log), "--out", str(redo)]) == 0
         assert (redo / "conformance.json").read_text() == textwrap.dedent("""\
             {
               "conforming": 2,
+              "failing": 1,
               "failures": [
                 {
                   "failed_index": 2,
+                  "kind": "failing",
                   "trace_id": "post3"
+                },
+                {
+                  "failed_index": null,
+                  "kind": "prefix_only",
+                  "trace_id": "post4"
                 }
               ],
-              "nonconforming": 1,
-              "total": 3
+              "nonconforming": 2,
+              "prefix_only": 1,
+              "total": 4
             }
             """)
 

@@ -28,7 +28,8 @@ from repostminer.discovery import (
 from repostminer.eventlog import Dfg, EventLog, dfg_from_sequences
 from repostminer.petri import is_free_choice
 from repostminer.stochastic import replay_trace, simulate
-from treeutil import bounded_language, directly_follows, in_lc, lc_trees, uniform_fspn
+from treeutil import (bounded_language, directly_follows, in_lc, lc_trees, process_trees,
+                      uniform_fspn)
 
 
 class TestFilterDfg:
@@ -292,6 +293,17 @@ class TestTreeToNet:
             assert result.conforming, word
 
 
+def fits_to_the_sink(net, trace):
+    """Whether ``trace`` fits ``net``, its replay ending on one token on the
+    net's one sink place."""
+    result = replay_trace(net, trace)
+    counts = dict(net.initial_marking)
+    for firing in result.firings:
+        counts = net.kernel.fire(counts, firing.transition)
+    (sink,) = [p for p in net.places if not net.postset(p)]
+    return result.conforming and counts == {sink: 1}
+
+
 def rediscovery_fitness(seqs, threshold=0.0):
     log = make_log(seqs)
     net = tree_to_net(discover_tree(log, threshold))
@@ -299,10 +311,21 @@ def rediscovery_fitness(seqs, threshold=0.0):
     sources = [p for p in net.places if not net.preset(p)]
     sinks = [p for p in net.places if not net.postset(p)]
     assert len(sources) == 1 and len(sinks) == 1
-    return all(replay_trace(net, t).conforming for t in log.traces)
+    return all(fits_to_the_sink(net, t) for t in log.traces)
 
 
 class TestRediscoveryFitness:
+    @given(process_trees("abcdef", width=4), st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_mined_net_fits_every_trace_of_its_log(self, tree, seed, n_traces):
+        # The inductive miner's fitness guarantee (Leemans, Fahland & van der
+        # Aalst, BPM 2013 workshops): with no noise filtering, the discovered
+        # net fits every trace it was mined from.
+        log = simulate(uniform_fspn(tree_to_net(tree)), n_traces, seed=seed, max_firings=60)
+        net = tree_to_net(discover_tree(log, 0.0))
+        for trace in log.traces:
+            assert fits_to_the_sink(net, trace), (format_tree(tree), trace)
+
     def test_fixture_logs_replay(self):
         assert rediscovery_fitness([("A", "B", "C"), ("A", "C", "B")])
         assert rediscovery_fitness([("A", "B", "A"), ("A", "B")])
