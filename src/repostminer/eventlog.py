@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import re
 from collections import Counter
 from contextlib import nullcontext
 from datetime import datetime, timezone
-from itertools import accumulate, chain
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -177,6 +178,49 @@ def _earliest(count: int, start: Callable[[int], int],
     return sorted(heapq.nsmallest(max_traces, range(count), key=start))
 
 
+# Characters the block source of a path's rows reads at a time
+_BLOCK = 16384
+
+
+def _csv_rows(reader, offset: int) -> Iterator[tuple[int, list[str]]]:
+    """(line before the row, row) pairs of the rows ``reader`` reads, its
+    lines numbered after the first ``offset``."""
+    lines = map(attrgetter("line_num"), repeat(reader))
+    return zip(map(offset.__add__, lines), reader)
+
+
+def _block_rows(stream: IO[str], delimiter: str,
+                done: int) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """(line before the row, row) pairs of the rest of ``stream``, a file
+    opened with ``newline=""`` of which ``done`` lines are read, one iterator
+    of them per block of ``_BLOCK`` characters.
+
+    A block, after the previous block's unfinished last line, that holds no
+    quote, carriage return or NUL and no more characters than
+    ``csv.field_size_limit()`` is split at line feeds and each line at
+    ``delimiter``: the cells that csv gives such a line.  An empty line is
+    a blank row, counted but not returned, as csv returns no cells for it.
+    From the first other block on, csv reads the rest: that block, completed
+    to its line end, then the stream."""
+    limit = csv.field_size_limit()
+    carry = ""
+    while True:
+        block = stream.read(_BLOCK)
+        text = carry + block
+        if '"' in text or "\r" in text or "\0" in text or len(text) > limit:
+            text += stream.readline()
+            yield _csv_rows(csv.reader(chain(io.StringIO(text, newline=""), stream),
+                                       delimiter=delimiter), done)
+            return
+        lines = text.split("\n")
+        if block:
+            carry = lines.pop()
+        yield compress(zip(count(done), map(str.split, lines, repeat(delimiter))), lines)
+        if not block:
+            return
+        done += len(lines)
+
+
 def parse_log(source: IO[str] | str | Path,
               schema: LogSchema = LogSchema(),
               max_events: int | None = None,
@@ -184,7 +228,12 @@ def parse_log(source: IO[str] | str | Path,
     """Parse a delimiter-separated repost dump into a canonical event log.
 
     ``source`` is a path, opened as UTF-8 and closed on return, or a text
-    stream, read as given and left open.  One leading byte-order mark
+    stream, read as given and left open.  csv reads the header, and a
+    stream's rows, whose line ends the stream's own newline mode decides.  A
+    path's rows are read in blocks: a block that holds only LF line ends, no
+    quote or NUL, and no more characters than ``csv.field_size_limit()`` is
+    split with ``str.split``, which gives the cells csv would; from the
+    first block that does not, csv reads the rest.  One leading byte-order mark
     (U+FEFF, as "CSV UTF-8" exports write) is dropped before the header is
     split into cells, so a quoted first cell stays quoted.  Rows
     are grouped by trace id and sorted by timestamp within each trace
@@ -215,8 +264,8 @@ def parse_log(source: IO[str] | str | Path,
     tails: dict[str, int] = {}
     strict = re.compile(r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):([0-5]\d):([0-5]\d)"
                         r"(?:\.000)?(?:[Zz]|\+00:00)", re.ASCII) if iso else None
-    opened = (open(source, encoding="utf-8", newline="")
-              if isinstance(source, (str, Path)) else nullcontext(source))
+    path = isinstance(source, (str, Path))
+    opened = open(source, encoding="utf-8", newline="") if path else nullcontext(source)
     with opened as stream:
         lines = iter(stream)
         first = next(lines, None)
@@ -225,6 +274,8 @@ def parse_log(source: IO[str] | str | Path,
         reader = csv.reader(chain([first.removeprefix("\ufeff")], lines),
                             delimiter=schema.delimiter)
         header = next(reader)
+        rows = (chain.from_iterable(_block_rows(stream, schema.delimiter, reader.line_num))
+                if path else _csv_rows(reader, 0))
 
         positions = {name.strip(): i for i, name in enumerate(header)}
         needed = [schema.trace_id, schema.activity, schema.timestamp]
@@ -241,7 +292,7 @@ def parse_log(source: IO[str] | str | Path,
         width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
 
         # Every valid row is held until the caps can be applied, as row
-        # ``count`` of three columns of machine ints: its epoch second, the
+        # ``held`` of three columns of machine ints: its epoch second, the
         # number of its (account, score) pair and a link to the previous row
         # of its trace, -1 at the trace's first.  Each trace, numbered in
         # order of appearance, keeps its last row and its earliest second.
@@ -251,14 +302,15 @@ def parse_log(source: IO[str] | str | Path,
         seconds, pair_of, link, last, starts = (memoryview(bytearray()).cast(code)
                                                 for code in "qiiiq")
         numbers: dict[str, int] = {}
-        pair_numbers: dict[str | tuple[str, str], int] = {}
+        # the number of an (account, score) pair by account cell, and with a
+        # score column, by account cell and then by score cell
+        pair_numbers: dict[str, int] | dict[str, dict[str, int]] = {}
+        unseen: dict[str, int] = {}  # no score cell is known for a new account cell
         pairs: list[tuple[str, float | None]] = []  # by number
         accounts: dict[str, str] = {}
-        count = room = rejected = latest = 0  # latest: at or after every second held
-        end = reader.line_num  # the last line of the header, then of each row
-        for row in reader:
-            before, end = end, reader.line_num  # the row starts on line before + 1
-            if count == room:
+        held = room = rejected = latest = 0  # latest: at or after every second held
+        for before, row in rows:  # the row starts on line before + 1
+            if held == room:
                 room += room // 8 + 1024
                 seconds, pair_of, link = (_resized(c, room) for c in (seconds, pair_of, link))
             try:
@@ -269,8 +321,8 @@ def parse_log(source: IO[str] | str | Path,
                 trace_id = row[i_trace].strip()
                 if not trace_id:
                     raise ValueError("empty trace id")
-                key = row[i_act] if i_bot is None else (row[i_act], row[i_bot])
-                pair = pair_numbers.get(key)
+                pair = (pair_numbers.get(row[i_act]) if i_bot is None
+                        else pair_numbers.get(row[i_act], unseen).get(row[i_bot]))
                 if pair is None:
                     activity = row[i_act].strip()
                     if not activity:
@@ -289,7 +341,7 @@ def parse_log(source: IO[str] | str | Path,
                                 cell[14:], 60 * int(match[1]) + int(match[2]))
                             hours.setdefault(cell[:14], second - offset)
                 try:
-                    seconds[count] = second  # the row's slot until it is held
+                    seconds[held] = second  # the row's slot until it is held
                 except ValueError:  # the second does not fit an int64
                     raise ValueError(f"timestamp {cell.strip()} outside int64") from None
                 if pair is None:
@@ -298,7 +350,11 @@ def parse_log(source: IO[str] | str | Path,
                         score = float(row[i_bot])
                         if not 0.0 <= score <= 1.0:
                             raise ValueError(f"bot score {score} outside [0, 1]")
-                    pair = pair_numbers[key] = len(pairs)
+                    pair = len(pairs)
+                    if i_bot is None:
+                        pair_numbers[row[i_act]] = pair
+                    else:
+                        pair_numbers.setdefault(row[i_act], {})[row[i_bot]] = pair
                     pairs.append((accounts.setdefault(activity, activity), score))
             except (ValueError, OverflowError) as exc:
                 rejected += 1
@@ -309,22 +365,24 @@ def parse_log(source: IO[str] | str | Path,
                 n = numbers[trace_id] = len(numbers)
                 if n == len(starts):
                     last, starts = (_resized(c, n + n // 8 + 256) for c in (last, starts))
-                link[count] = -1
+                link[held] = -1
                 starts[n] = second
+                if second > latest:
+                    latest = second
             else:
-                link[count] = last[n]
+                link[held] = last[n]
                 # only a row earlier than one held already can lower a start,
-                # which spares a dump in time order from reading ``starts``
-                if second < latest and second < starts[n]:
+                # so a row in time order costs one comparison
+                if second >= latest:
+                    latest = second
+                elif second < starts[n]:
                     starts[n] = second
-            if second > latest:
-                latest = second
-            last[n] = count
-            pair_of[count] = pair
-            count += 1
+            last[n] = held
+            pair_of[held] = pair
+            held += 1
 
     if rejected:
-        _warn("rejected %d of %d rows", rejected, count + rejected)
+        _warn("rejected %d of %d rows", rejected, held + rejected)
 
     ids = list(numbers)
     del numbers

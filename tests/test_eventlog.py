@@ -2,8 +2,10 @@ import csv
 import io
 import logging
 import random
+import tempfile
 import tracemalloc
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from logutil import make_log
 from refparse import reference_parse
+from repostminer import eventlog
 from repostminer.eventlog import (
     Event,
     EventLog,
@@ -232,18 +235,32 @@ _bad_row = st.one_of(
 _cap = st.one_of(st.none(), st.integers(1, 4))
 
 
-def parse_capturing(text, *caps, schema=CAP_SCHEMA):
-    """(log, warnings logged) of ``parse_log`` on ``text`` with ``caps``."""
+def parse_capturing(text, *caps, schema=CAP_SCHEMA, path=None):
+    """(log, warnings logged) of ``parse_log`` with ``caps`` on ``text``, read
+    as a stream that ends lines as a file opened with ``newline=""`` does, or
+    on ``path``, when given, which holds ``text``."""
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     logger = logging.getLogger("repostminer.eventlog")
     logger.addHandler(handler)
     try:
-        log = parse_log(io.StringIO(text), schema, *caps)
+        log = parse_log(path or io.StringIO(text, newline=""), schema, *caps)
     finally:
         logger.removeHandler(handler)
     return log, [(r.levelno, r.getMessage()) for r in records]
+
+
+def parse_both(text, *caps, schema=CAP_SCHEMA):
+    """``parse_capturing`` of ``text`` read as a stream, after checking that
+    a parse of the same text written to a file, which reads its clean blocks
+    without csv, gives the same log and warnings."""
+    by_stream = parse_capturing(text, *caps, schema=schema)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert parse_capturing(text, *caps, schema=schema, path=path) == by_stream
+    return by_stream
 
 
 def _cascade_dump(cascades, iso):
@@ -264,15 +281,43 @@ def _cascade_dump(cascades, iso):
     return "trace_id,activity,timestamp,bot\n" + "".join(rows), len(rows)
 
 
-def _traced_parse(text, schema):
-    """(log, tracemalloc peak) of a parse of ``text`` capped to 30 traces."""
-    stream = io.StringIO(text)
-    tracemalloc.start()
-    try:
-        log = parse_log(stream, schema, max_traces=30)
-        return log, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+@pytest.fixture(scope="module")
+def cascade_dump(tmp_path_factory):
+    """``cascade_dump(cascades, iso)``: (path, rows) of ``_cascade_dump``'s
+    dump written to a file, each dump generated and written once."""
+    made = {}
+
+    def dump(cascades, iso):
+        if (cascades, iso) not in made:
+            text, rows = _cascade_dump(cascades, iso)
+            path = tmp_path_factory.mktemp("dump") / "dump.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            made[cascades, iso] = path, rows
+        return made[cascades, iso]
+    return dump
+
+
+@pytest.fixture(scope="module")
+def capped_parse(cascade_dump):
+    """``capped_parse(cascades, iso)``: (log, tracemalloc peak, rows) of a
+    parse of ``cascade_dump(cascades, iso)`` with its bot scores, capped to 30
+    traces and read from the file as the command line reads its inputs;
+    each parse measured once."""
+    measured = {}
+
+    def parse(cascades, iso):
+        if (cascades, iso) not in measured:
+            path, rows = cascade_dump(cascades, iso)
+            schema = LogSchema(bot_score="bot",
+                               timestamp_format="iso8601" if iso else "epoch")
+            tracemalloc.start()
+            try:
+                log = parse_log(path, schema, max_traces=30)
+                measured[cascades, iso] = log, tracemalloc.get_traced_memory()[1], rows
+            finally:
+                tracemalloc.stop()
+        return measured[cascades, iso]
+    return parse
 
 
 class TestCappedParse:
@@ -285,8 +330,8 @@ class TestCappedParse:
     @settings(max_examples=300, deadline=None)
     def test_equals_preprocess_of_full_parse(self, rows, max_events, max_traces):
         text = "trace_id,activity,timestamp,bot\n" + "\n".join(rows) + "\n"
-        capped, capped_warnings = parse_capturing(text, max_events, max_traces)
-        full, full_warnings = parse_capturing(text)
+        capped, capped_warnings = parse_both(text, max_events, max_traces)
+        full, full_warnings = parse_both(text)
         assert capped == preprocess(full, max_events, max_traces)
         assert capped_warnings == full_warnings
         # independent of preprocess: earliest first timestamp, then appearance
@@ -315,32 +360,31 @@ class TestCappedParse:
         assert [t.trace_id for t in log] == kept
         assert (log, warnings) == reference_parse(text, schema, None, max_traces)
 
-    def test_peak_memory_per_row(self):
+    def test_peak_memory_per_row(self, capped_parse):
         # A capped parse holds every valid row until it returns.  On this
-        # 20,000-row dump of 80 accounts it peaks at about 32 bytes a row
-        # (CPython 3.11): a row is an int64 second and two int32s in three
-        # columns, and each of its 2,000 traces adds its id, number, last row
-        # and start.  Three shared references a row in a flat per-trace list
-        # peaked at about 78; one tuple, account str and score float per row
-        # at about 213.
-        text, rows = _cascade_dump(2000, iso=False)
-        log, peak = _traced_parse(text, CAP_SCHEMA)
+        # 20,000-row dump of 80 accounts, read from its file, it peaks at
+        # about 37 bytes a row (CPython 3.11), 5 of them the block being
+        # split, and at about 32 read from a stream: a row is an int64
+        # second and two int32s in three columns, and each of its 2,000
+        # traces adds its id, number, last row and start.  Three shared
+        # references a row in a flat per-trace list peaked at about 78; one
+        # tuple, account str and score float per row at about 213.
+        log, peak, rows = capped_parse(2000, iso=False)
         assert log.event_count() == 300
         assert peak / rows < 150
 
     # The bytes a held row adds, (peak(2N) - peak(N)) / N: the memo tables,
-    # filled alike by both dumps, and the interpreter's own state cancel.  A
-    # row is 16 bytes of columns whichever its stamp; with its share of its
-    # trace's id, number, last row and start, an ISO row adds about 40 bytes
-    # and an epoch row about 31 on CPython 3.11 (42 and 32 on 3.10).  Three
+    # filled alike by both dumps, the block being split and the interpreter's
+    # own state cancel.  A row is 16 bytes of columns whichever its stamp;
+    # with its share of its trace's id, number, last row and start, an ISO
+    # row adds about 39 bytes and an epoch row about 30 on CPython 3.11 (42
+    # and 32 on 3.10, read from a stream).  Three
     # shared references a row in a flat per-trace list took about 52 and 76,
     # since an epoch row held its own int.
     @pytest.mark.parametrize("iso, bound", [(True, 44), (False, 34)])
-    def test_marginal_memory_per_held_row(self, iso, bound):
-        schema = LogSchema(bot_score="bot", timestamp_format="iso8601" if iso else "epoch")
-        (text, rows), (twice, _) = _cascade_dump(1000, iso), _cascade_dump(2000, iso)
-        peak = _traced_parse(text, schema)[1]
-        assert (_traced_parse(twice, schema)[1] - peak) / rows <= bound
+    def test_marginal_memory_per_held_row(self, capped_parse, iso, bound):
+        _, peak, rows = capped_parse(1000, iso)
+        assert (capped_parse(2000, iso)[1] - peak) / rows <= bound
 
     # An uncapped parse builds every held row into an event, cutting the
     # columns as it goes, so at its peak it holds little beyond the log it
@@ -351,13 +395,12 @@ class TestCappedParse:
     # versions: the bounds, so that no gather may hold a second copy of the
     # rows.  (Peak per row alone moves with the interpreter's free lists.)
     @pytest.mark.parametrize("iso, bound", [(True, 48), (False, 13)])
-    def test_uncapped_peak_over_log_per_row(self, iso, bound):
+    def test_uncapped_peak_over_log_per_row(self, cascade_dump, iso, bound):
         schema = LogSchema(bot_score="bot", timestamp_format="iso8601" if iso else "epoch")
-        text, rows = _cascade_dump(2000, iso)
-        stream = io.StringIO(text)
+        path, rows = cascade_dump(2000, iso)
         tracemalloc.start()
         try:
-            log = parse_log(stream, schema)
+            log = parse_log(path, schema)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -410,12 +453,100 @@ class TestParseOracle:
     def test_equals_reference(self, bot, rows, max_events, max_traces):
         schema = LogSchema(bot_score=bot, timestamp_format="epoch")
         text = "trace_id,activity,timestamp,bot\n" + "\n".join(rows) + "\n"
-        log, warnings = parse_capturing(text, max_events, max_traces, schema=schema)
+        log, warnings = parse_both(text, max_events, max_traces, schema=schema)
         assert (log, warnings) == reference_parse(text, schema, max_events, max_traces)
         shared = {}
         for trace in log:
             for event in trace:
                 assert shared.setdefault(event.activity, event.activity) is event.activity
+
+
+_HEADER = "trace_id,activity,timestamp,bot\n"
+_LIMIT = csv.field_size_limit()
+
+
+def _clean_rows(size):
+    """Unquoted LF rows of ``size`` characters in all, the last account
+    padded to fill them exactly."""
+    rows, used, i = [], 0, 0
+    while used < size - 30:
+        rows.append(f"p{i % 7},a{i % 5},{i},0.5\n")
+        used += len(rows[-1])
+        i += 1
+    rows.append(f"p0,{'x' * (size - used - 10)},1,0.5\n")
+    return "".join(rows)
+
+
+def _across_blocks(piece, at, tail="p5,b,oops,0.5\n"):
+    """A dump whose body holds a rejected row and clean rows, then ``piece``
+    from the body's character ``at`` on, then ``tail``, a rejected row."""
+    return _HEADER + "p5,a,oops,0.5\n" + _clean_rows(at - 14) + piece + tail
+
+
+_B = eventlog._BLOCK
+# Each dump's body starts with two clean blocks, or a clean block and the
+# start of a line, before a block that csv must read; the last rejected
+# row's warning checks the line count across both sources.
+_ACROSS_BLOCKS = {
+    # the quote ends the second block, or starts the third after a clean one
+    "quoted line break across a block end": _across_blocks('p1,"a\nb",5,0.5\n', 2 * _B - 4),
+    "quoted line break after a block end": _across_blocks('p1,"a\nb",5,0.5\n', 2 * _B - 3),
+    "lone CR right after a clean block": _across_blocks("p1,c,5,0.5\rp2,d,6,0.5\n", 2 * _B - 10),
+    "CRLF split by a block end": _across_blocks("p1,c,5,0.5\r\np2,d,6,0.5\r\n", 2 * _B - 11),
+    "CRLF file": (_HEADER + "p5,a,oops,0.5\n" + _clean_rows(2 * _B)
+                  + "p5,b,oops,0.5\n").replace("\n", "\r\n"),
+    # csv rejects the line on Python 3.10 and keeps it from 3.11 on
+    "NUL": _across_blocks("p1,a\0b,5,0.5\n", 2 * _B),
+    "field at the size limit": _across_blocks(f"p1,{'y' * _LIMIT},5,0.5\n", 2 * _B),
+    "field over the size limit": _across_blocks(f"p1,{'y' * (_LIMIT + 1)},5,0.5\n", 2 * _B),
+    "blank lines across a block end": _across_blocks("\n\np1,c,5,0.5\n\n", 2 * _B - 1),
+    "no final newline": _across_blocks("p1,c,5,0.5\n", 2 * _B, tail="p5,b,oops,0.5"),
+    "BOM before a two-line quoted header": (
+        '\ufeff"trace_id\n",activity,timestamp,bot\n' + "p5,a,oops,0.5\n"
+        + _clean_rows(2 * _B) + "p5,b,oops,0.5\n"),
+}
+
+
+def _outcome(parse, *args, **kwargs):
+    """``parse``'s result, or the csv error it raises."""
+    try:
+        return parse(*args, **kwargs)
+    except csv.Error as exc:
+        return repr(exc)
+
+
+class TestBlockSource:
+    """A path's clean blocks are split without csv, and csv reads the rest
+    from the first other block on: the same log and warnings as a stream
+    read with csv throughout, line numbers included."""
+
+    @pytest.mark.parametrize("name", list(_ACROSS_BLOCKS))
+    def test_path_equals_stream_and_reference(self, tmp_path, name):
+        text = _ACROSS_BLOCKS[name]
+        assert len(text) > 2 * _B
+        path = tmp_path / "dump.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        by_path = _outcome(parse_capturing, text, path=path)
+        assert by_path == _outcome(parse_capturing, text)
+        # the reference parser reads no byte-order mark
+        assert by_path == _outcome(reference_parse, text.removeprefix("\ufeff"), CAP_SCHEMA)
+
+    def test_field_over_size_limit_raises(self, tmp_path):
+        path = tmp_path / "dump.csv"
+        path.write_text(_ACROSS_BLOCKS["field over the size limit"], encoding="utf-8")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            parse_log(path, CAP_SCHEMA)
+
+    def test_rows_after_the_csv_part(self, tmp_path):
+        # csv reads the quoted cell, and the last line's row is rejected by
+        # the number of the last line
+        text = _ACROSS_BLOCKS["quoted line break across a block end"]
+        path = tmp_path / "dump.csv"
+        path.write_text(text, encoding="utf-8")
+        log, warnings = parse_capturing(text, path=path)
+        assert Event("p1", "a\nb", 5, 0.5) in log.traces[1].events
+        assert warnings[-2] == (logging.WARNING, f"line {text.count(chr(10))}: rejected "
+                                "row (could not convert string to float: 'oops')")
 
 
 class TestPreprocess:
