@@ -7,8 +7,10 @@ delimiter-separated dumps into canonical logs, applies the standard
 preprocessing steps (per-trace truncation, earliest-N trace selection,
 bot-score splits) and derives directly-follows statistics for discovery.
 
-``parse_log`` applies truncation and selection as it reads, building events
-only for the traces kept; ``preprocess`` applies them to a log in memory.
+``parse_log`` reads a path and a text stream alike, splitting the blocks of
+rows that need no csv with ``str.split``; it applies truncation and
+selection as it reads, building events only for the traces kept;
+``preprocess`` applies them to a log in memory.
 """
 
 from __future__ import annotations
@@ -178,22 +180,15 @@ def _earliest(count: int, start: Callable[[int], int],
     return sorted(heapq.nsmallest(max_traces, range(count), key=start))
 
 
-# Characters the block source of a path's rows reads at a time
+# Characters the row source reads at a time
 _BLOCK = 16384
-
-
-def _csv_rows(reader, offset: int) -> Iterator[tuple[int, list[str]]]:
-    """(line before the row, row) pairs of the rows ``reader`` reads, its
-    lines numbered after the first ``offset``."""
-    lines = map(attrgetter("line_num"), repeat(reader))
-    return zip(map(offset.__add__, lines), reader)
 
 
 def _block_rows(stream: IO[str], delimiter: str,
                 done: int) -> Iterator[Iterator[tuple[int, list[str]]]]:
-    """(line before the row, row) pairs of the rest of ``stream``, a file
-    opened with ``newline=""`` of which ``done`` lines are read, one iterator
-    of them per block of ``_BLOCK`` characters.
+    """(line before the row, row) pairs of the rest of ``stream``, a text
+    stream of which ``done`` lines are read, one iterator of them per block
+    of ``_BLOCK`` characters.
 
     A block, after the previous block's unfinished last line, that holds no
     quote, carriage return or NUL and no more characters than
@@ -209,8 +204,10 @@ def _block_rows(stream: IO[str], delimiter: str,
         text = carry + block
         if '"' in text or "\r" in text or "\0" in text or len(text) > limit:
             text += stream.readline()
-            yield _csv_rows(csv.reader(chain(io.StringIO(text, newline=""), stream),
-                                       delimiter=delimiter), done)
+            reader = csv.reader(chain(io.StringIO(text, newline=""), stream),
+                                delimiter=delimiter)
+            ends = map(attrgetter("line_num"), repeat(reader))
+            yield zip(map(done.__add__, ends), reader)
             return
         lines = text.split("\n")
         if block:
@@ -228,12 +225,13 @@ def parse_log(source: IO[str] | str | Path,
     """Parse a delimiter-separated repost dump into a canonical event log.
 
     ``source`` is a path, opened as UTF-8 and closed on return, or a text
-    stream, read as given and left open.  csv reads the header, and a
-    stream's rows, whose line ends the stream's own newline mode decides.  A
-    path's rows are read in blocks: a block that holds only LF line ends, no
-    quote or NUL, and no more characters than ``csv.field_size_limit()`` is
-    split with ``str.split``, which gives the cells csv would; from the
-    first block that does not, csv reads the rest.  One leading byte-order mark
+    stream, read as given and left open; a path is opened with
+    ``newline=""``, and a stream's own newline mode decides the text it
+    delivers.  csv reads the header, and the rows are read in blocks of that
+    text: a block that holds only LF line ends, no quote or NUL, and no more
+    characters than ``csv.field_size_limit()`` is split with ``str.split``,
+    which gives the cells csv would; from the first block that does not,
+    csv reads the rest.  One leading byte-order mark
     (U+FEFF, as "CSV UTF-8" exports write) is dropped before the header is
     split into cells, so a quoted first cell stays quoted.  Rows
     are grouped by trace id and sorted by timestamp within each trace
@@ -264,8 +262,8 @@ def parse_log(source: IO[str] | str | Path,
     tails: dict[str, int] = {}
     strict = re.compile(r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):([0-5]\d):([0-5]\d)"
                         r"(?:\.000)?(?:[Zz]|\+00:00)", re.ASCII) if iso else None
-    path = isinstance(source, (str, Path))
-    opened = open(source, encoding="utf-8", newline="") if path else nullcontext(source)
+    opened = (open(source, encoding="utf-8", newline="") if isinstance(source, (str, Path))
+              else nullcontext(source))
     with opened as stream:
         lines = iter(stream)
         first = next(lines, None)
@@ -274,8 +272,7 @@ def parse_log(source: IO[str] | str | Path,
         reader = csv.reader(chain([first.removeprefix("\ufeff")], lines),
                             delimiter=schema.delimiter)
         header = next(reader)
-        rows = (chain.from_iterable(_block_rows(stream, schema.delimiter, reader.line_num))
-                if path else _csv_rows(reader, 0))
+        rows = chain.from_iterable(_block_rows(stream, schema.delimiter, reader.line_num))
 
         positions = {name.strip(): i for i, name in enumerate(header)}
         needed = [schema.trace_id, schema.activity, schema.timestamp]

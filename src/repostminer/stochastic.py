@@ -8,7 +8,7 @@ probabilities, the waits behind the per-account delay distributions and
 waiting statistics, the marking moves whose entropy
 ``analysis.replay_entropy`` takes, and the failed replays.  Replay's
 silent-path search, with its relevance plans, completion distance and
-memos, lives here too, one state per net (``_Search``).  Simulation draws
+memo, lives here too, one state per net (``_Search``).  Simulation draws
 from numpy's PCG64 stream reimplemented in pure Python, so nothing here
 imports numpy.
 """
@@ -149,13 +149,12 @@ class _Search:
     ``search`` slot from the net's first replay on, so that every replay on
     the net shares it: each account's :func:`_plan`, the net's
     :func:`_completion_distance` if it is block-structured (else ``None``)
-    and two memos.  ``steps`` maps ``(state, account)``, with ``None`` for
-    completion, to the state after the step and the transitions it fires, or
-    to ``None`` when there is no step; ``searches`` maps an account and the
-    counts of its plan's ``reads`` to the transitions a goal search fires.
+    and one memo, ``steps``, which maps ``(state, account)``, with ``None``
+    for completion, to the state after the step and the transitions it
+    fires, or to ``None`` when there is no step.
     """
 
-    __slots__ = ("plans", "completion", "steps", "searches")
+    __slots__ = ("plans", "completion", "steps")
 
     def __init__(self, net: PetriNet) -> None:
         kernel, labels, goals = net.kernel, net.labels, {}
@@ -167,7 +166,6 @@ class _Search:
         self.completion = (_completion_distance(kernel)
                            if is_block_structured(kernel) else None)
         self.steps: dict[tuple[Marking, str | None], tuple | None] = {}
-        self.searches: dict[tuple[str, tuple], tuple[str, ...] | None] = {}
 
 
 def _with_search(net: PetriNet) -> Kernel:
@@ -179,15 +177,13 @@ def _with_search(net: PetriNet) -> Kernel:
 
 
 def _plan(kernel: Kernel, feeders: Mapping[str, list[str]], goals: tuple[str, ...],
-          ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+          ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """How replay searches for ``goals``, one account's transitions:
-    ``(goals, among, reads)``, with ``among`` the silent transitions
+    ``(goals, among)``, with ``among`` the silent transitions
     backward-reachable, through silent transitions, from the goals' input
-    places, and ``reads`` the input places of the goals and of ``among``,
-    both in net order.  A silent firing outside ``among`` puts no token
+    places, in net order.  A silent firing outside ``among`` puts no token
     where a transition of ``among`` or a goal needs one, so every shortest
-    silent path to a goal uses ``among`` only, and no place outside
-    ``reads`` can change the search's result.  ``feeders`` maps each place
+    silent path to a goal uses ``among`` only.  ``feeders`` maps each place
     to its silent input transitions."""
     pre = kernel.pre
     places = {p for g in goals for p in pre[g]}
@@ -199,8 +195,7 @@ def _plan(kernel: Kernel, feeders: Mapping[str, list[str]], goals: tuple[str, ..
                 fresh = [q for q in pre[t] if q not in places]
                 places.update(fresh)
                 stack += fresh
-    return (goals, tuple(t for t in kernel.silent if t in feeding),
-            tuple(p for p in kernel.places if p in places))
+    return goals, tuple(t for t in kernel.silent if t in feeding)
 
 
 def _completion_distance(kernel: Kernel,
@@ -273,7 +268,9 @@ def _silent_path(kernel: Kernel, counts: dict[str, int],
 
     A goal search is a breadth-first search (BFS) that expands only the
     silent transitions of the account's plan, those that can feed the goal;
-    every shortest path uses those only.  Completion descends the net's
+    every shortest path uses those only.  When a goal is enabled at the
+    marking itself, as it is for most events a replay meets, the search
+    returns it before it builds its queue.  Completion descends the net's
     exact completion distance (certified by the net being
     block-structured): from each marking it fires the first enabled
     silent transition, in net order, that lowers the distance by one
@@ -287,7 +284,9 @@ def _silent_path(kernel: Kernel, counts: dict[str, int],
     if goal_label is not None:
         if (plan := search.plans.get(goal_label)) is None:
             return None  # no transition carries the label
-        goals, among, _ = plan
+        goals, among = plan
+        if hits := kernel.enabled(counts, goals):
+            return (hits[0],)  # what the search returns at its first pop
     elif search.completion is None:
         goals, among = None, kernel.silent
     else:
@@ -344,18 +343,12 @@ _UNSEEN = object()
 def _step(kernel: Kernel, state: Marking,
           goal: str | None) -> tuple[Marking, tuple[str, ...]] | None:
     """The state after ``_silent_path`` from ``state`` for ``goal``, and the
-    transitions it fires, memoized by state in the kernel's search state; a
-    goal search is also memoized by the counts of the places its plan reads."""
+    transitions it fires, memoized by (state, goal) in the kernel's search
+    state."""
     search: _Search = kernel.search  # type: ignore[assignment]
     if (found := search.steps.get((state, goal), _UNSEEN)) is not _UNSEEN:
         return found
-    counts = dict(state)
-    if goal is None or (plan := search.plans.get(goal)) is None:
-        fired = _silent_path(kernel, counts, goal)
-    else:
-        near = (goal, tuple(map(counts.get, plan[2])))
-        if (fired := search.searches.get(near, _UNSEEN)) is _UNSEEN:
-            fired = search.searches[near] = _silent_path(kernel, counts, goal)
+    fired = _silent_path(kernel, dict(state), goal)
     found = search.steps[state, goal] = (
         None if fired is None else (kernel.successor(state, *fired), fired))
     return found
@@ -382,8 +375,7 @@ def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
     only on the net, the marking and the account, so its result and the
     state it leads to are memoized by (state, account), with ``None`` for
     completion, in the net's search state (:class:`_Search`), which every
-    replay on the net shares; a goal search is also memoized by the marking
-    of the places it tests.
+    replay on the net shares.
 
     Each place holds a heap of its tokens' arrival times.  A firing takes
     the oldest token of each input place and is enabled when the latest of

@@ -235,17 +235,17 @@ _bad_row = st.one_of(
 _cap = st.one_of(st.none(), st.integers(1, 4))
 
 
-def parse_capturing(text, *caps, schema=CAP_SCHEMA, path=None):
+def parse_capturing(text, *caps, schema=CAP_SCHEMA, source=None):
     """(log, warnings logged) of ``parse_log`` with ``caps`` on ``text``, read
     as a stream that ends lines as a file opened with ``newline=""`` does, or
-    on ``path``, when given, which holds ``text``."""
+    on ``source``, when given, a path or a text stream that holds ``text``."""
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     logger = logging.getLogger("repostminer.eventlog")
     logger.addHandler(handler)
     try:
-        log = parse_log(path or io.StringIO(text, newline=""), schema, *caps)
+        log = parse_log(source or io.StringIO(text, newline=""), schema, *caps)
     finally:
         logger.removeHandler(handler)
     return log, [(r.levelno, r.getMessage()) for r in records]
@@ -253,13 +253,13 @@ def parse_capturing(text, *caps, schema=CAP_SCHEMA, path=None):
 
 def parse_both(text, *caps, schema=CAP_SCHEMA):
     """``parse_capturing`` of ``text`` read as a stream, after checking that
-    a parse of the same text written to a file, which reads its clean blocks
-    without csv, gives the same log and warnings."""
+    a parse of the same text written to a file, which ``parse_log`` opens
+    itself, gives the same log and warnings."""
     by_stream = parse_capturing(text, *caps, schema=schema)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dump.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        assert parse_capturing(text, *caps, schema=schema, path=path) == by_stream
+        assert parse_capturing(text, *caps, schema=schema, source=path) == by_stream
     return by_stream
 
 
@@ -507,6 +507,27 @@ _ACROSS_BLOCKS = {
 }
 
 
+def _line_end_dump(end, cell=""):
+    """A dump longer than two blocks with ``end`` line ends, and rejected rows
+    before and after its clean rows and ``cell``, a row written as is."""
+    return (_HEADER + "p5,a,oops,0.5\n" + _clean_rows(2 * _B)).replace("\n", end) + (
+        cell + "p5,b,oops,0.5" + end)
+
+
+_LINE_ENDS = {
+    "LF": _line_end_dump("\n"),
+    "CRLF, a quoted CRLF cell": _line_end_dump("\r\n", 'p1,"a\r\nb",5,0.5\r\n'),
+    "CR": _line_end_dump("\r"),
+}
+# How a dump at ``path`` holding ``text`` is read as a text stream
+_STREAMS = {
+    "open(path)": lambda path, text: open(path, encoding="utf-8"),
+    'open(path, newline="")': lambda path, text: open(path, encoding="utf-8", newline=""),
+    "StringIO(text)": lambda path, text: io.StringIO(text),
+    'StringIO(text, newline="")': lambda path, text: io.StringIO(text, newline=""),
+}
+
+
 def _outcome(parse, *args, **kwargs):
     """``parse``'s result, or the csv error it raises."""
     try:
@@ -516,9 +537,28 @@ def _outcome(parse, *args, **kwargs):
 
 
 class TestBlockSource:
-    """A path's clean blocks are split without csv, and csv reads the rest
-    from the first other block on: the same log and warnings as a stream
-    read with csv throughout, line numbers included."""
+    """Clean blocks are split without csv, and csv reads the rest from the
+    first other block on: the same log and warnings as csv throughout, line
+    numbers included, whether ``parse_log`` opens a path or is given a stream."""
+
+    @pytest.mark.parametrize("stream", list(_STREAMS))
+    @pytest.mark.parametrize("name", list(_LINE_ENDS))
+    def test_every_stream_equals_reference_on_what_it_delivers(self, tmp_path, name, stream):
+        text = _LINE_ENDS[name]
+        assert len(text) > 2 * _B
+        path = tmp_path / "dump.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with _STREAMS[stream](path, text) as source:
+            delivered = source.read()
+        with _STREAMS[stream](path, text) as source:
+            outcome = _outcome(parse_capturing, delivered, source=source)
+        if stream == "StringIO(text)" and name == "CR":
+            # a stream that ends lines at LF only delivers a CR dump as one
+            # line, the header with every row, which csv rejects
+            assert "new-line character seen in unquoted field" in outcome
+        else:
+            assert outcome == reference_parse(delivered, CAP_SCHEMA)
+            assert len(outcome[1]) == 3  # both rejected rows and the count
 
     @pytest.mark.parametrize("name", list(_ACROSS_BLOCKS))
     def test_path_equals_stream_and_reference(self, tmp_path, name):
@@ -526,7 +566,7 @@ class TestBlockSource:
         assert len(text) > 2 * _B
         path = tmp_path / "dump.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        by_path = _outcome(parse_capturing, text, path=path)
+        by_path = _outcome(parse_capturing, text, source=path)
         assert by_path == _outcome(parse_capturing, text)
         # the reference parser reads no byte-order mark
         assert by_path == _outcome(reference_parse, text.removeprefix("\ufeff"), CAP_SCHEMA)
@@ -543,7 +583,7 @@ class TestBlockSource:
         text = _ACROSS_BLOCKS["quoted line break across a block end"]
         path = tmp_path / "dump.csv"
         path.write_text(text, encoding="utf-8")
-        log, warnings = parse_capturing(text, path=path)
+        log, warnings = parse_capturing(text, source=path)
         assert Event("p1", "a\nb", 5, 0.5) in log.traces[1].events
         assert warnings[-2] == (logging.WARNING, f"line {text.count(chr(10))}: rejected "
                                 "row (could not convert string to float: 'oops')")

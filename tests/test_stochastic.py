@@ -203,8 +203,8 @@ class TestMemoizedReplay:
             if any(r.conforming for r in replays):
                 assert (replay_entropy(tally_replays(net, replays))
                         == replay_entropy(tally_replays(fresh, reference)))
-        # A goal search memoized by the marking of the places it tests is
-        # the search from the full marking.
+        # Every memoized step, goal search or completion, fires what the
+        # search from the full marking of its state fires.
         kernel = net.kernel
         for (state, goal), found in kernel.search.steps.items():
             assert (None if found is None else found[1]) == _silent_path(
@@ -333,8 +333,7 @@ class TestSilentSearch:
         plans = _with_search(net).search.plans
         split, _join = net.kernel.silent
         (b,), (c,) = labeled(net, "B"), labeled(net, "C")
-        assert plans["B"][:2] == ((b,), (split,)) and plans["C"][:2] == ((c,), (split,))
-        assert set(plans["B"][2]) == {*net.preset(split), *net.preset(b)}
+        assert plans["B"] == ((b,), (split,)) and plans["C"] == ((c,), (split,))
         assert plans["A"][1] == () and "stranger" not in plans
 
     def test_repeat_repost_campaign_width_12(self):
