@@ -9,8 +9,9 @@ bot-score splits) and derives directly-follows statistics for discovery.
 
 ``parse_log`` reads a path and a text stream alike, splitting the blocks of
 rows that need no csv with ``str.split``; it applies truncation and
-selection as it reads, building events only for the traces kept;
-``preprocess`` applies them to a log in memory.
+selection as it reads, building events only for the traces kept, and of a
+dump in time order holding only their rows; ``preprocess`` applies them to
+a log in memory.
 """
 
 from __future__ import annotations
@@ -184,28 +185,59 @@ def _earliest(count: int, start: Callable[[int], int],
 _BLOCK = 16384
 
 
-def _block_rows(stream: IO[str], delimiter: str,
-                done: int) -> Iterator[Iterator[tuple[int, list[str]]]]:
-    """(line before the row, row) pairs of the rest of ``stream``, a text
-    stream of which ``done`` lines are read, one iterator of them per block
-    of ``_BLOCK`` characters.
+def _header(stream: IO[str], delimiter: str) -> tuple[list[str] | None, int, str]:
+    """(cells, lines, rest) of the header row at the start of ``stream``:
+    its cells as csv gives them, or ``None`` for an empty stream, the number
+    of lines it spans and the text read past it, empty only at the end of
+    the stream.  One leading byte-order mark is dropped first, and lines are
+    split as in ``_lines``."""
+    text = stream.read(_BLOCK).removeprefix("\ufeff")
+    while True:
+        head = io.StringIO(text, newline="")
+        reader = csv.reader(head, delimiter=delimiter)
+        cells = next(reader, None)
+        rest = head.read()
+        # a header that reaches the end of the text read may go on past it
+        if rest or not (more := stream.read(_BLOCK)):
+            return cells, reader.line_num, rest
+        text += more
+
+
+def _lines(stream: IO[str], text: str) -> Iterator[str]:
+    """The lines of ``text`` and then of the rest of ``stream``, split at
+    LF, CR and CRLF as ``io.StringIO(newline="")`` splits them, whatever
+    line ends the stream itself reads.  ``_BLOCK`` characters are read at a
+    time, and each chunk's last line waits for the next unless it ends at
+    an LF: it may be unfinished, or a CR that the next chunk's LF ends."""
+    while True:
+        block = stream.read(_BLOCK)
+        lines = io.StringIO(text + block, newline="").readlines()
+        text = lines.pop() if block and lines[-1][-1] != "\n" else ""
+        yield from lines
+        if not block:
+            return
+
+
+def _block_rows(stream: IO[str], delimiter: str, done: int,
+                block: str) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """(line before the row, row) pairs of ``block`` and then the rest of
+    ``stream``, a text stream of which ``done`` lines are read, one iterator
+    of them per block of ``_BLOCK`` characters; ``block`` is empty only at
+    the end of the stream.
 
     A block, after the previous block's unfinished last line, that holds no
     quote, carriage return or NUL and no more characters than
     ``csv.field_size_limit()`` is split at line feeds and each line at
     ``delimiter``: the cells that csv gives such a line.  An empty line is
     a blank row, counted but not returned, as csv returns no cells for it.
-    From the first other block on, csv reads the rest: that block, completed
-    to its line end, then the stream."""
+    From the first other block on, csv reads the rest, split into lines by
+    ``_lines``."""
     limit = csv.field_size_limit()
     carry = ""
     while True:
-        block = stream.read(_BLOCK)
         text = carry + block
         if '"' in text or "\r" in text or "\0" in text or len(text) > limit:
-            text += stream.readline()
-            reader = csv.reader(chain(io.StringIO(text, newline=""), stream),
-                                delimiter=delimiter)
+            reader = csv.reader(_lines(stream, text), delimiter=delimiter)
             ends = map(attrgetter("line_num"), repeat(reader))
             yield zip(map(done.__add__, ends), reader)
             return
@@ -216,6 +248,7 @@ def _block_rows(stream: IO[str], delimiter: str,
         if not block:
             return
         done += len(lines)
+        block = stream.read(_BLOCK)
 
 
 def parse_log(source: IO[str] | str | Path,
@@ -227,11 +260,13 @@ def parse_log(source: IO[str] | str | Path,
     ``source`` is a path, opened as UTF-8 and closed on return, or a text
     stream, read as given and left open; a path is opened with
     ``newline=""``, and a stream's own newline mode decides the text it
-    delivers.  csv reads the header, and the rows are read in blocks of that
-    text: a block that holds only LF line ends, no quote or NUL, and no more
-    characters than ``csv.field_size_limit()`` is split with ``str.split``,
-    which gives the cells csv would; from the first block that does not,
-    csv reads the rest.  One leading byte-order mark
+    delivers.  That text is split into lines at LF, CR and CRLF, as
+    ``io.StringIO(text, newline="")`` splits it, whatever line ends the
+    stream reads by itself.  csv reads the header, and the rows are read in
+    blocks of the text: a block that holds only LF line ends, no quote or
+    NUL, and no more characters than ``csv.field_size_limit()`` is split
+    with ``str.split``, which gives the cells csv would; from the first
+    block that does not, csv reads the rest.  One leading byte-order mark
     (U+FEFF, as "CSV UTF-8" exports write) is dropped before the header is
     split into cells, so a quoted first cell stays quoted.  Rows
     are grouped by trace id and sorted by timestamp within each trace
@@ -248,9 +283,16 @@ def parse_log(source: IO[str] | str | Path,
     parse and gives the same value.
 
     The caps give exactly ``preprocess(parse_log(source, schema), max_events,
-    max_traces)``, but only the traces kept are ever built as events.  Until
-    the input ends, each valid row is held as 16 bytes of machine ints, and
-    each trace's start is kept up to date as its rows arrive.
+    max_traces)``, but only the traces kept are ever built as events.  A
+    held row is 16 bytes of machine ints, and each trace's start is kept up
+    to date as its rows arrive.  A capped parse of a dump in time order,
+    each valid row at or after the one before, holds only the rows of the
+    ``max_traces`` traces that appear first, which are the ones kept; a
+    dropped row is still checked, warned of and counted.  A dump in any
+    other order holds every valid row: one that falls out of order after a
+    row was dropped is read a second time from where the call started, with
+    no warning logged twice.  A stream that is not ``seekable()`` holds
+    every valid row.
     """
     check_caps(max_events, max_traces)
     iso = schema.timestamp_format == "iso8601"
@@ -265,14 +307,17 @@ def parse_log(source: IO[str] | str | Path,
     opened = (open(source, encoding="utf-8", newline="") if isinstance(source, (str, Path))
               else nullcontext(source))
     with opened as stream:
-        lines = iter(stream)
-        first = next(lines, None)
-        if first is None:
+        # A capped parse drops rows while they come in time order; a stream
+        # it cannot read again holds every row.
+        start = None
+        if max_traces is not None and stream.seekable():
+            try:
+                start = stream.tell()
+            except OSError:  # a file iterated by next() cannot tell
+                pass
+        header, done, rest = _header(stream, schema.delimiter)
+        if header is None:
             raise SchemaError("empty input: header row required")
-        reader = csv.reader(chain([first.removeprefix("\ufeff")], lines),
-                            delimiter=schema.delimiter)
-        header = next(reader)
-        rows = chain.from_iterable(_block_rows(stream, schema.delimiter, reader.line_num))
 
         positions = {name.strip(): i for i, name in enumerate(header)}
         needed = [schema.trace_id, schema.activity, schema.timestamp]
@@ -288,98 +333,137 @@ def parse_log(source: IO[str] | str | Path,
         i_bot = positions[schema.bot_score] if schema.bot_score is not None else None
         width = max(i_trace, i_act, i_ts, i_bot if i_bot is not None else 0)
 
-        # Every valid row is held until the caps can be applied, as row
-        # ``held`` of three columns of machine ints: its epoch second, the
-        # number of its (account, score) pair and a link to the previous row
-        # of its trace, -1 at the trace's first.  Each trace, numbered in
-        # order of appearance, keeps its last row and its earliest second.
-        # The columns are memoryviews of bytearrays, grown by an eighth when
-        # full: an item is stored in less time than an ``array.append``
-        # takes, and no extension module is loaded.
-        seconds, pair_of, link, last, starts = (memoryview(bytearray()).cast(code)
-                                                for code in "qiiiq")
-        numbers: dict[str, int] = {}
         # the number of an (account, score) pair by account cell, and with a
         # score column, by account cell and then by score cell
         pair_numbers: dict[str, int] | dict[str, dict[str, int]] = {}
         unseen: dict[str, int] = {}  # no score cell is known for a new account cell
         pairs: list[tuple[str, float | None]] = []  # by number
         accounts: dict[str, str] = {}
-        held = room = rejected = latest = 0  # latest: at or after every second held
-        for before, row in rows:  # the row starts on line before + 1
-            if held == room:
-                room += room // 8 + 1024
-                seconds, pair_of, link = (_resized(c, room) for c in (seconds, pair_of, link))
-            try:
-                if len(row) <= width:
-                    if not row:
-                        continue  # a blank line
-                    raise ValueError(f"expected at least {width + 1} fields, got {len(row)}")
-                trace_id = row[i_trace].strip()
-                if not trace_id:
-                    raise ValueError("empty trace id")
-                pair = (pair_numbers.get(row[i_act]) if i_bot is None
-                        else pair_numbers.get(row[i_act], unseen).get(row[i_bot]))
-                if pair is None:
-                    activity = row[i_act].strip()
-                    if not activity:
-                        raise ValueError("empty activity")
-                cell = row[i_ts]
-                if not iso:
-                    second = int(float(cell))
-                else:
-                    try:
-                        second = hours[cell[:14]] + tails[cell[14:]]
-                    except KeyError:
-                        second = _parse_iso8601(cell)
-                        match = strict.fullmatch(cell)
-                        if match:
-                            offset = tails.setdefault(
-                                cell[14:], 60 * int(match[1]) + int(match[2]))
-                            hours.setdefault(cell[:14], second - offset)
+        quiet = 0  # a rejected row that starts on this line or before was warned of
+        while True:
+            rows = chain.from_iterable(_block_rows(stream, schema.delimiter, done, rest))
+            # Every valid row that may be kept is held until the caps can be
+            # applied, as row ``held`` of three columns of machine ints: its
+            # epoch second, the number of its (account, score) pair and a
+            # link to the previous row of its trace, -1 at the trace's first.
+            # Each trace, numbered in order of appearance, keeps its last row
+            # and its earliest second.  The columns are memoryviews of
+            # bytearrays, grown by an eighth when full: an item is stored in
+            # less time than an ``array.append`` takes, and no extension
+            # module is loaded.
+            seconds, pair_of, link, last, starts = (memoryview(bytearray()).cast(code)
+                                                    for code in "qiiiq")
+            numbers: dict[str, int] = {}
+            held = room = rejected = dropped = 0
+            latest = -2 ** 63  # the latest second of a valid row so far
+            # While the rows come in time order, each at or after ``latest``,
+            # the first ``full`` traces to appear are the ones kept, and a row
+            # of any other trace is dropped.  -1: no row is dropped.
+            full = -1 if start is None else max_traces
+            for before, row in rows:  # the row starts on line before + 1
+                if held == room:
+                    room += room // 8 + 1024
+                    seconds, pair_of, link = (_resized(c, room)
+                                              for c in (seconds, pair_of, link))
                 try:
-                    seconds[held] = second  # the row's slot until it is held
-                except ValueError:  # the second does not fit an int64
-                    raise ValueError(f"timestamp {cell.strip()} outside int64") from None
-                if pair is None:
-                    score = None
-                    if i_bot is not None and row[i_bot].strip():
-                        score = float(row[i_bot])
-                        if not 0.0 <= score <= 1.0:
-                            raise ValueError(f"bot score {score} outside [0, 1]")
-                    pair = len(pairs)
-                    if i_bot is None:
-                        pair_numbers[row[i_act]] = pair
+                    if len(row) <= width:
+                        if not row:
+                            continue  # a blank line
+                        raise ValueError(f"expected at least {width + 1} fields, "
+                                         f"got {len(row)}")
+                    trace_id = row[i_trace].strip()
+                    if not trace_id:
+                        raise ValueError("empty trace id")
+                    pair = (pair_numbers.get(row[i_act]) if i_bot is None
+                            else pair_numbers.get(row[i_act], unseen).get(row[i_bot]))
+                    if pair is None:
+                        activity = row[i_act].strip()
+                        if not activity:
+                            raise ValueError("empty activity")
+                    cell = row[i_ts]
+                    if not iso:
+                        second = int(float(cell))
                     else:
-                        pair_numbers.setdefault(row[i_act], {})[row[i_bot]] = pair
-                    pairs.append((accounts.setdefault(activity, activity), score))
-            except (ValueError, OverflowError) as exc:
-                rejected += 1
-                _warn("line %d: rejected row (%s)", before + 1, exc)
-                continue
-            n = numbers.get(trace_id)
-            if n is None:
-                n = numbers[trace_id] = len(numbers)
-                if n == len(starts):
-                    last, starts = (_resized(c, n + n // 8 + 256) for c in (last, starts))
-                link[held] = -1
-                starts[n] = second
-                if second > latest:
-                    latest = second
-            else:
-                link[held] = last[n]
-                # only a row earlier than one held already can lower a start,
-                # so a row in time order costs one comparison
-                if second >= latest:
-                    latest = second
-                elif second < starts[n]:
+                        try:
+                            second = hours[cell[:14]] + tails[cell[14:]]
+                        except KeyError:
+                            second = _parse_iso8601(cell)
+                            match = strict.fullmatch(cell)
+                            if match:
+                                offset = tails.setdefault(
+                                    cell[14:], 60 * int(match[1]) + int(match[2]))
+                                hours.setdefault(cell[:14], second - offset)
+                    try:
+                        seconds[held] = second  # the row's slot until it is held
+                    except ValueError:  # the second does not fit an int64
+                        raise ValueError(f"timestamp {cell.strip()} outside int64") from None
+                    if pair is None:
+                        score = None
+                        if i_bot is not None and row[i_bot].strip():
+                            score = float(row[i_bot])
+                            if not 0.0 <= score <= 1.0:
+                                raise ValueError(f"bot score {score} outside [0, 1]")
+                        pair = len(pairs)
+                        if i_bot is None:
+                            pair_numbers[row[i_act]] = pair
+                        else:
+                            pair_numbers.setdefault(row[i_act], {})[row[i_bot]] = pair
+                        pairs.append((accounts.setdefault(activity, activity), score))
+                except (ValueError, OverflowError) as exc:
+                    rejected += 1
+                    if before >= quiet:
+                        _warn("line %d: rejected row (%s)", before + 1, exc)
+                    continue
+                n = numbers.get(trace_id)
+                if n is None:
+                    n = len(numbers)
+                    # ``starts`` has room for ``full`` traces at most
+                    if n == len(starts):
+                        if n == full:
+                            if second >= latest:
+                                latest = second
+                                dropped += 1
+                                continue
+                            if dropped:  # a dropped trace may now be kept
+                                break
+                            full = -1
+                        size = n + n // 8 + 256
+                        last, starts = (_resized(c, min(size, full) if n < full else size)
+                                        for c in (last, starts))
+                    numbers[trace_id] = n
+                    link[held] = -1
                     starts[n] = second
-            last[n] = held
-            pair_of[held] = pair
-            held += 1
+                    if second > latest:
+                        latest = second
+                    elif second < latest:
+                        full = -1  # out of order before a row was dropped
+                else:
+                    link[held] = last[n]
+                    # only a row earlier than one held already can lower a
+                    # start, so a row in time order costs one comparison
+                    if second >= latest:
+                        latest = second
+                    else:
+                        if full > 0:  # the first row out of order
+                            if dropped:
+                                break
+                            full = -1
+                        if second < starts[n]:
+                            starts[n] = second
+                last[n] = held
+                pair_of[held] = pair
+                held += 1
+            else:
+                break
+            # Read the input again, holding every row, and warn only of the
+            # rows past this one.
+            quiet = before + 1
+            stream.seek(start)
+            start = None
+            _, done, rest = _header(stream, schema.delimiter)
 
     if rejected:
-        _warn("rejected %d of %d rows", rejected, held + rejected)
+        _warn("rejected %d of %d rows", rejected, held + dropped + rejected)
 
     ids = list(numbers)
     del numbers

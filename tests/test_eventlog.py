@@ -5,7 +5,9 @@ import random
 import tempfile
 import tracemalloc
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -320,6 +322,46 @@ def capped_parse(cascade_dump):
     return parse
 
 
+def _in_time_order(cascades):
+    """(text, rows) of ``_cascade_dump(cascades, iso=False)``'s rows sorted
+    by time, a dump in time order."""
+    text, rows = _cascade_dump(cascades, iso=False)
+    header, *lines = text.splitlines(keepends=True)
+    lines.sort(key=lambda line: int(line.split(",")[2]))
+    return header + "".join(lines), rows
+
+
+@st.composite
+def _time_ordered_rows(draw):
+    """Rows of a dump in time order, rejected rows among them, and maybe one
+    row moved to a later place, so that it is out of order."""
+    valid = sorted(draw(st.lists(st.tuples(
+        st.integers(0, 9), st.sampled_from(CAP_TRACES), st.sampled_from("abc"),
+        st.sampled_from(["", "0", "0.5", "1"])), max_size=30)), key=itemgetter(0))
+    rows = [f"{trace},{account},{second},{score}" for second, trace, account, score in valid]
+    for row in draw(st.lists(_bad_row, max_size=4)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(draw(st.integers(i, len(rows) - 1)), rows.pop(i))
+    return rows
+
+
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+class _Seeks(io.StringIO):
+    """A text stream that counts the calls of its ``seek``."""
+
+    seeks = 0
+
+    def seek(self, *args):
+        self.seeks += 1
+        return super().seek(*args)
+
+
 class TestCappedParse:
     @given(st.tuples(st.lists(_good_row, max_size=30),
                      st.lists(_bad_row, max_size=6)).flatmap(
@@ -360,20 +402,101 @@ class TestCappedParse:
         assert [t.trace_id for t in log] == kept
         assert (log, warnings) == reference_parse(text, schema, None, max_traces)
 
+    # A time-ordered dump, read as a path, as a stream and as a stream that
+    # cannot seek: rows of traces past the cap are dropped while the order
+    # holds, and a row out of order after a drop makes the parse read the
+    # input again.
+    @given(rows=_time_ordered_rows(), max_events=_cap, max_traces=_cap)
+    # the late p1 row starts p1 before p0, after p1's valid row was dropped
+    @example(rows=["p0,a,1,", "p1,a,oops,0.5", "p1,b,2,", "p1,c,0,"],
+             max_events=None, max_traces=1)
+    @settings(max_examples=300, deadline=None)
+    def test_time_ordered_dump_equals_reference(self, rows, max_events, max_traces):
+        text = "trace_id,activity,timestamp,bot\n" + "\n".join(rows) + "\n"
+        expected = reference_parse(text, CAP_SCHEMA, max_events, max_traces)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dump.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert parse_capturing(text, max_events, max_traces, source=path) == expected
+        for stream in io.StringIO(text), _Unseekable(text):
+            assert parse_capturing(text, max_events, max_traces, source=stream) == expected
+
+    def test_late_row_brings_a_dropped_trace_into_the_kept_set(self):
+        text = "trace_id,activity,timestamp,bot\np0,a,1,\np1,a,oops,0.5\np1,b,2,\np1,c,0,\n"
+        stream = _Seeks(text)
+        log, warnings = parse_capturing(text, None, 1, source=stream)
+        assert stream.seeks == 1  # read a second time
+        assert [t.trace_id for t in log] == ["p1"]
+        assert log.event_count() == 2
+        assert warnings == [
+            (logging.WARNING, "line 3: rejected row (could not convert string to float: 'oops')"),
+            (logging.WARNING, "rejected 1 of 4 rows")]
+        assert (log, warnings) == reference_parse(text, CAP_SCHEMA, None, 1)
+
+    def test_file_that_cannot_tell_holds_every_row(self, tmp_path):
+        # a file iterated by next() cannot tell where it is, so a parse
+        # could not read it again and drops no row
+        text = "trace_id,activity,timestamp,bot\np0,a,1,\np1,a,2,\np1,b,0,\n"
+        path = tmp_path / "dump.csv"
+        path.write_text("preamble\n" + text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as stream:
+            next(stream)
+            assert parse_capturing(text, None, 1, source=stream) == reference_parse(
+                text, CAP_SCHEMA, None, 1)
+
+    def test_time_ordered_dump_read_once(self):
+        text, _ = _in_time_order(100)
+        stream = _Seeks(text)
+        log = parse_log(stream, CAP_SCHEMA, max_traces=30)
+        assert stream.seeks == 0
+        assert log == reference_parse(text, CAP_SCHEMA, None, 30)[0]
+
+    # A capped parse of a dump in time order holds only the rows of the
+    # traces it keeps, so its peak does not grow with the dump: (peak(2N) -
+    # peak(N)) / N over the time-ordered rows of 1,000 and 2,000 cascades,
+    # each cut to 30 traces: about -1 byte on CPython 3.11, against about 29
+    # when every valid row was held.
+    def test_time_ordered_peak_per_extra_row(self, tmp_path):
+        peaks = []
+        for cascades in 1000, 2000:
+            text, rows = _in_time_order(cascades)
+            path = tmp_path / f"{cascades}.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            tracemalloc.start()
+            try:
+                log = parse_log(path, CAP_SCHEMA, max_traces=30)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert log.event_count() == 300
+        assert (peaks[1] - peaks[0]) / (rows / 2) <= 1
+
+    # The memory bounds below measure a parse that holds every valid row:
+    # the rows of ``_cascade_dump`` fall out of time order before its 31st
+    # trace appears, so that a parse capped to 30 traces drops none.
+    @pytest.mark.parametrize("cascades", [1000, 2000])
+    def test_cascade_dump_not_in_time_order(self, cascades):
+        # the stamps' form does not change their seconds; each cascade is 10
+        # rows in a row, so the 31st starts at row 300
+        text, _ = _cascade_dump(cascades, iso=False)
+        seconds = [int(line.split(",")[2]) for line in text.splitlines()[1:301]]
+        assert any(b < a for a, b in zip(seconds, seconds[1:]))
+
     def test_peak_memory_per_row(self, capped_parse):
-        # A capped parse holds every valid row until it returns.  On this
-        # 20,000-row dump of 80 accounts, read from its file, it peaks at
-        # about 37 bytes a row (CPython 3.11), 5 of them the block being
-        # split, and at about 32 read from a stream: a row is an int64
-        # second and two int32s in three columns, and each of its 2,000
-        # traces adds its id, number, last row and start.  Three shared
-        # references a row in a flat per-trace list peaked at about 78; one
-        # tuple, account str and score float per row at about 213.
+        # A capped parse of a dump out of time order holds every valid row
+        # until it returns.  On this 20,000-row dump of 80 accounts, read
+        # from its file, it peaks at about 37 bytes a row (CPython 3.11), 5
+        # of them the block being split, and at about 32 read from a stream:
+        # a row is an int64 second and two int32s in three columns, and each
+        # of its 2,000 traces adds its id, number, last row and start.  Three
+        # shared references a row in a flat per-trace list peaked at about
+        # 78; one tuple, account str and score float per row at about 213.
         log, peak, rows = capped_parse(2000, iso=False)
         assert log.event_count() == 300
         assert peak / rows < 150
 
-    # The bytes a held row adds, (peak(2N) - peak(N)) / N: the memo tables,
+    # The bytes a held row adds, (peak(2N) - peak(N)) / N, on a dump out of
+    # time order, so that every valid row is held: the memo tables,
     # filled alike by both dumps, the block being split and the interpreter's
     # own state cancel.  A row is 16 bytes of columns whichever its stamp;
     # with its share of its trace's id, number, last row and start, an ISO
@@ -528,6 +651,17 @@ _STREAMS = {
 }
 
 
+# Rows of clean cells and cells with lone CRs, quoted or not, each ended by
+# an LF, a CR, a CRLF or nothing
+_cr_cell = st.text("ab\r", max_size=3)
+_cr_row = st.builds(
+    "{},{},{},0.5{}".format,
+    st.sampled_from(CAP_TRACES),
+    st.one_of(_cr_cell, _cr_cell.map('"{}"'.format)),
+    st.one_of(st.integers(0, 9).map(str), _cr_cell),
+    st.sampled_from(["\n", "\r", "\r\n", ""]))
+
+
 def _outcome(parse, *args, **kwargs):
     """``parse``'s result, or the csv error it raises."""
     try:
@@ -552,13 +686,26 @@ class TestBlockSource:
             delivered = source.read()
         with _STREAMS[stream](path, text) as source:
             outcome = _outcome(parse_capturing, delivered, source=source)
-        if stream == "StringIO(text)" and name == "CR":
-            # a stream that ends lines at LF only delivers a CR dump as one
-            # line, the header with every row, which csv rejects
-            assert "new-line character seen in unquoted field" in outcome
-        else:
-            assert outcome == reference_parse(delivered, CAP_SCHEMA)
-            assert len(outcome[1]) == 3  # both rejected rows and the count
+        # a stream that ends lines at LF only delivers a CR dump as one line,
+        # which the parse splits at its CRs as the reference parser does
+        assert outcome == reference_parse(delivered, CAP_SCHEMA)
+        assert len(outcome[1]) == 3  # both rejected rows and the count
+
+    # A stream that ends lines at LF only delivers a lone CR as it is; the
+    # parse splits a line there, in a quoted cell or not, in the header's
+    # block or in a later one, as the reference parser does.
+    @given(rows=st.lists(_cr_row, max_size=12), block=st.sampled_from([1, 2, 5, 16, _B]))
+    @example(rows=["p1,a,1,0.5\n", "p2,a\rp3,b,2,0.5\n"], block=8)
+    @example(rows=["p1,a,1,0.5\n", 'p2,"a\rb",2,0.5\n'], block=8)
+    # after the quote, csv reads a CRLF that a block end splits, then a
+    # rejected row, whose line is counted across the split
+    @example(rows=['p0,"x",1,0.5\n', "p1,a,1,0.5\r\n", "p2,a,b,0.5\n"], block=8)
+    @settings(max_examples=300, deadline=None)
+    def test_lone_cr_in_lf_stream_equals_reference(self, rows, block):
+        text = _HEADER + "".join(rows)
+        with mock.patch.object(eventlog, "_BLOCK", block):
+            outcome = _outcome(parse_capturing, text, source=io.StringIO(text))
+        assert outcome == _outcome(reference_parse, text, CAP_SCHEMA)
 
     @pytest.mark.parametrize("name", list(_ACROSS_BLOCKS))
     def test_path_equals_stream_and_reference(self, tmp_path, name):
