@@ -123,7 +123,7 @@ class PipelineConfig(Record):
     def from_file(cls, path: Path) -> "PipelineConfig":
         """The config a JSON object of settings gives, each checked for
         its JSON type, with the defaults for the keys it leaves out."""
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"a config file holds a JSON object, got {raw!r}")
         unknown = set(raw) - set(_CONFIG_KEYS)
@@ -247,7 +247,7 @@ def _write_run(out_dir: Path, files: dict[str, str]) -> None:
         for file_name, text in files.items():
             path = out_dir / file_name
             written.append(path)
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -380,7 +380,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                 entropy_log_base=args.entropy_log_base)
         _apply_schema(config, args)
     with _stage("load"):
-        net = petri.net_from_json(Path(args.net).read_text())
+        net = petri.net_from_json(Path(args.net).read_text(encoding="utf-8"))
     log = _read_log(Path(args.input), config)
     with _stage("replay"):
         tally = stochastic.tally_replays(
@@ -397,7 +397,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with _stage("load"):
-        fspn = stochastic.fspn_from_json(Path(args.fspn).read_text())
+        fspn = stochastic.fspn_from_json(Path(args.fspn).read_text(encoding="utf-8"))
     with _stage("simulate"):
         log = stochastic.simulate(fspn, args.n_traces, seed=args.seed,
                                   max_firings=args.max_firings)
@@ -411,7 +411,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     with _stage("load"):
-        reports = [json.loads(Path(p).read_text()) for p in (args.report_a, args.report_b)]
+        reports = [json.loads(Path(p).read_text(encoding="utf-8"))
+                   for p in (args.report_a, args.report_b)]
         for report in reports:  # a report lacking a compared measure fails here
             for m in analysis.MEASURES:
                 if m.relate and m.key not in report:
@@ -421,7 +422,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     with _stage("write"):
         text = petri.json_text(doc)
         if args.out:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         print(text, end="")
     return 0
 
@@ -429,14 +430,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     with _stage("load"):
         if args.fspn:
-            fspn = stochastic.fspn_from_json(Path(args.fspn).read_text())
+            fspn = stochastic.fspn_from_json(Path(args.fspn).read_text(encoding="utf-8"))
             text = export_dot(fspn.net, dict(fspn.arc_probabilities))
         else:
-            net = petri.net_from_json(Path(args.net).read_text())
+            net = petri.net_from_json(Path(args.net).read_text(encoding="utf-8"))
             text = export_dot(discovery.reduce_net(net) if args.reduce else net)
     with _stage("write"):
         if args.out:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         else:
             print(text, end="")
     return 0

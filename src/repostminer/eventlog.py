@@ -285,14 +285,15 @@ def parse_log(source: IO[str] | str | Path,
     The caps give exactly ``preprocess(parse_log(source, schema), max_events,
     max_traces)``, but only the traces kept are ever built as events.  A
     held row is 16 bytes of machine ints, and each trace's start is kept up
-    to date as its rows arrive.  A capped parse of a dump in time order,
-    each valid row at or after the one before, holds only the rows of the
-    ``max_traces`` traces that appear first, which are the ones kept; a
-    dropped row is still checked, warned of and counted.  A dump in any
-    other order holds every valid row: one that falls out of order after a
-    row was dropped is read a second time from where the call started, with
-    no warning logged twice.  A stream that is not ``seekable()`` holds
-    every valid row.
+    to date as its rows arrive.  A capped parse holds, drops or re-reads a
+    valid row by one rule.  A row is in order when its second is at or after
+    that of every valid row before it.  While every row is in order, the
+    ``max_traces`` traces that appear first are the ones kept, and a row of
+    any other trace is dropped: still checked, warned of and counted.  The
+    first row out of order ends the dropping: with no row dropped yet, every
+    valid row is held from there on; after a drop, the input is read a
+    second time from where the call started, with no warning logged twice.
+    A stream that is not ``seekable()`` holds every valid row.
     """
     check_caps(max_events, max_traces)
     iso = schema.timestamp_format == "iso8601"
@@ -414,42 +415,29 @@ def parse_log(source: IO[str] | str | Path,
                     if before >= quiet:
                         _warn("line %d: rejected row (%s)", before + 1, exc)
                     continue
+                if second >= latest:
+                    latest = second
+                elif full > 0:  # the first row out of order
+                    if dropped:  # a dropped trace may now be kept
+                        break
+                    full = -1
                 n = numbers.get(trace_id)
                 if n is None:
                     n = len(numbers)
-                    # ``starts`` has room for ``full`` traces at most
-                    if n == len(starts):
-                        if n == full:
-                            if second >= latest:
-                                latest = second
-                                dropped += 1
-                                continue
-                            if dropped:  # a dropped trace may now be kept
-                                break
-                            full = -1
+                    if n == full:
+                        dropped += 1
+                        continue
+                    if n == len(starts):  # room for ``full`` traces at most
                         size = n + n // 8 + 256
                         last, starts = (_resized(c, min(size, full) if n < full else size)
                                         for c in (last, starts))
                     numbers[trace_id] = n
                     link[held] = -1
                     starts[n] = second
-                    if second > latest:
-                        latest = second
-                    elif second < latest:
-                        full = -1  # out of order before a row was dropped
                 else:
                     link[held] = last[n]
-                    # only a row earlier than one held already can lower a
-                    # start, so a row in time order costs one comparison
-                    if second >= latest:
-                        latest = second
-                    else:
-                        if full > 0:  # the first row out of order
-                            if dropped:
-                                break
-                            full = -1
-                        if second < starts[n]:
-                            starts[n] = second
+                    if second < starts[n]:
+                        starts[n] = second
                 last[n] = held
                 pair_of[held] = pair
                 held += 1
@@ -501,9 +489,9 @@ def write_log(log: EventLog, dest: IO[str] | str | Path,
 
     Traces with no events cannot be represented row-wise and are skipped.
     """
-    own = isinstance(dest, (str, Path))
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
+    opened = (open(dest, "w", encoding="utf-8", newline="") if isinstance(dest, (str, Path))
+              else nullcontext(dest))
+    with opened as stream:
         writer = csv.writer(stream, delimiter=schema.delimiter, lineterminator="\n")
         header = [schema.trace_id, schema.activity, schema.timestamp]
         if schema.bot_score is not None:
@@ -520,9 +508,6 @@ def write_log(log: EventLog, dest: IO[str] | str | Path,
                 if schema.bot_score is not None:
                     row.append("" if event.bot_score is None else repr(event.bot_score))
                 writer.writerow(row)
-    finally:
-        if own:
-            stream.close()
 
 
 def preprocess(log: EventLog, max_events: int | None = 10,

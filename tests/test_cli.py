@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import operator
+import os
 import random
 import subprocess
 import sys
@@ -476,6 +477,37 @@ class TestCommands:
                                str(tmp_path)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "sim.csv").exists() and (tmp_path / "cmp.json").exists()
+
+    def test_every_command_reads_and_writes_utf8_under_the_c_locale(self, tmp_path):
+        # accounts outside ASCII, under a locale whose encoding is ASCII, with
+        # UTF-8 mode off and every open() that names no encoding an error
+        log = tmp_path / "dump.csv"
+        log.write_text("trace_id,activity,timestamp\n" + "".join(
+            f"post{p},{account},{100 * p + i}\n"
+            for p in range(3) for i, account in enumerate(["A", "Zoë", "東京"])),
+            encoding="utf-8")
+        run = tmp_path / "out" / "dump"
+        src = str(Path(repostminer.__file__).parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in (
+            ["discover", "--input", log, "--out", tmp_path / "out", "--schema", "format=epoch"],
+            ["analyze", "--net", run / "net.json", "--input", log, "--out", tmp_path / "redo",
+             "--schema", "format=epoch"],
+            ["simulate", "--fspn", run / "fspn.json", "--n-traces", "5",
+             "--out", tmp_path / "sim.csv"],
+            ["compare", "--report-a", run / "report.json",
+             "--report-b", tmp_path / "redo" / "report.json", "--out", tmp_path / "cmp.json"],
+            ["export-dot", "--net", run / "net.json", "--reduce", "--out", tmp_path / "model.dot"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "repostminer", *map(str, argv)],
+                env=env, capture_output=True, encoding="utf-8", errors="replace")
+            assert proc.returncode == 0, proc.stderr
+        for path in run / "model.dot", tmp_path / "model.dot", tmp_path / "sim.csv":
+            text = path.read_text(encoding="utf-8")
+            assert "Zoë" in text and "東京" in text
 
 
 def organic_log(path, cascades=30, accounts=20, seed=3):

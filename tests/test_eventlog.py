@@ -433,6 +433,29 @@ class TestCappedParse:
             (logging.WARNING, "rejected 1 of 4 rows")]
         assert (log, warnings) == reference_parse(text, CAP_SCHEMA, None, 1)
 
+    # The time-order rule case by case, by the seeks each makes: a row out of
+    # order before any drop switches dropping off, so that a later trace past
+    # the cap is held, one of a kept trace after a drop reads the input
+    # again, and a new trace at the cap whose second equals the latest so far
+    # is in order, so it is dropped: a later row out of order then reads the
+    # input again.
+    @pytest.mark.parametrize("rows, max_traces, seeks, kept", [
+        (["p0,a,5,", "p1,a,3,", "p2,a,9,"], 2, 0,
+         [("p0", [("a", 5)]), ("p1", [("a", 3)])]),
+        (["p0,a,5,", "p1,a,3,", "p2,a,4,"], 2, 0,
+         [("p1", [("a", 3)]), ("p2", [("a", 4)])]),
+        (["p0,a,5,", "p1,a,6,", "p0,b,1,"], 1, 1, [("p0", [("b", 1), ("a", 5)])]),
+        (["p0,a,5,", "p1,a,5,"], 1, 0, [("p0", [("a", 5)])]),
+        (["p0,a,5,", "p1,a,5,", "p0,b,4,"], 1, 1, [("p0", [("b", 4), ("a", 5)])]),
+    ])
+    def test_seeks_by_order_case(self, rows, max_traces, seeks, kept):
+        text = "trace_id,activity,timestamp,bot\n" + "\n".join(rows) + "\n"
+        stream = _Seeks(text)
+        log, warnings = parse_capturing(text, None, max_traces, source=stream)
+        assert stream.seeks == seeks
+        assert [(t.trace_id, [(e.activity, e.timestamp) for e in t]) for t in log] == kept
+        assert (log, warnings) == reference_parse(text, CAP_SCHEMA, None, max_traces)
+
     def test_file_that_cannot_tell_holds_every_row(self, tmp_path):
         # a file iterated by next() cannot tell where it is, so a parse
         # could not read it again and drops no row

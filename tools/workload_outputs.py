@@ -47,7 +47,7 @@ def main(argv: list[str]) -> int:
                         sys.exit(f"{name} at seed {seed}: {argv[0]} exited with {code}")
             target = out / str(seed) / name
             shutil.copytree(ROOT / "out", target)
-            (target / "stdout.txt").write_text(stdout.getvalue())
+            (target / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
     shutil.rmtree(ROOT, ignore_errors=True)
     print(f"wrote the outputs of {len(inputs.WORKLOADS)} workloads at seeds "
           f"{' and '.join(map(str, SEEDS))} under {out}")
