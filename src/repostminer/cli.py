@@ -438,8 +438,12 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     with _stage("write"):
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            print(text, end="")
+        elif (buffer := getattr(sys.stdout, "buffer", None)) is None:
+            print(text, end="")  # a text stream such as StringIO takes str
+        else:  # UTF-8 like --out, whatever the locale's encoding
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
+            buffer.flush()
     return 0
 
 

@@ -8,9 +8,10 @@ probabilities, the waits behind the per-account delay distributions and
 waiting statistics, the marking moves whose entropy
 ``analysis.replay_entropy`` takes, and the failed replays.  Replay's
 silent-path search, with its relevance plans, completion distance and
-memo, lives here too, one state per net (``_Search``).  Simulation draws
-from numpy's PCG64 stream reimplemented in pure Python, so nothing here
-imports numpy.
+memo, lives here too, one state per net (``_Search``).  Simulation gives
+each trace ``i`` its own stdlib stream, ``random.Random(f"{seed}:{i}")``,
+whose ``str`` seed is hashed with SHA-512, so simulated logs do not depend
+on the hash seed; they are not the logs ``default_rng((seed, i))`` draws.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import random
 from bisect import bisect_right
 from collections import Counter, deque
 from itertools import accumulate
@@ -562,102 +564,8 @@ def fspn_from_json(text: str | IO[str]) -> StochasticPetriNet:
     return StochasticPetriNet(net, probabilities, delays)
 
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class _Stream:
-    """numpy's ``np.random.default_rng(entropy)`` stream, in pure Python.
-
-    ``choice(_cdf(p))`` and ``integers(n)`` return what ``Generator.choice(
-    len(p), p=p)`` and ``Generator.integers(n)`` return, draw for draw, for
-    any interleaving of the two.  numpy's ``SeedSequence`` hashes the entropy
-    into the state of a PCG64 generator (XSL-RR 128/64; O'Neill, "PCG: A
-    Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-    Random Number Generation", HMC-CS-2014-0905).  A negative entropy int
-    raises ``ValueError``, as in numpy.
-    """
-
-    def __init__(self, entropy: Iterable[int]) -> None:
-        words: list[int] = []  # each int as little-endian uint32 words
-        for n in entropy:
-            if n < 0:
-                raise ValueError("expected non-negative integer")
-            words.append(n & _MASK32)
-            while n := n >> 32:
-                words.append(n & _MASK32)
-
-        const = 0x43B0D7E5  # SeedSequence's mix_entropy over a pool of 4
-
-        def hashmix(value: int) -> int:
-            nonlocal const
-            value ^= const
-            const = const * 0x931E8875 & _MASK32
-            value = value * const & _MASK32
-            return value ^ value >> 16
-
-        def mix(x: int, y: int) -> int:
-            r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-            return r ^ r >> 16
-
-        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-
-        const = 0x8B51F9DD  # generate_state(4, uint64): 8 uint32 words
-        state = []
-        for i in range(8):
-            value = pool[i % 4] ^ const
-            const = const * 0x58F38DED & _MASK32
-            value = value * const & _MASK32
-            state.append(value ^ value >> 16)
-        seed = [state[2 * i] | state[2 * i + 1] << 32 for i in range(4)]
-        initstate, initseq = seed[0] << 64 | seed[1], seed[2] << 64 | seed[3]
-
-        self._inc = (initseq << 1 | 1) & _MASK128
-        self._state = (self._inc + initstate) & _MASK128  # one step from 0
-        self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-        self._high32: int | None = None  # the unused half of a next64
-
-    def _next64(self) -> int:
-        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-        x, rot = (s >> 64 ^ s) & _MASK64, s >> 122
-        return (x >> rot | x << (64 - rot)) & _MASK64
-
-    def _next32(self) -> int:
-        if self._high32 is not None:
-            high, self._high32 = self._high32, None
-            return high
-        x = self._next64()
-        self._high32 = x >> 32
-        return x & _MASK32
-
-    def choice(self, cdf: Sequence[float]) -> int:
-        """An index drawn by the CDF ``_cdf(p)`` of probabilities ``p``."""
-        return bisect_right(cdf, (self._next64() >> 11) * 2.0 ** -53)
-
-    def integers(self, n: int) -> int:
-        """A uniform int in ``[0, n)`` for ``1 <= n <= 2**32``, by Lemire's
-        method with rejection; ``n == 1`` draws nothing."""
-        if n == 1:
-            return 0
-        m = self._next32() * n
-        if m & _MASK32 < n:
-            threshold = ((1 << 32) - n) % n
-            while m & _MASK32 < threshold:
-                m = self._next32() * n
-        return m >> 32
-
-
 def _cdf(p: Sequence[float]) -> list[float]:
-    """The running sums of ``p`` over their total, as numpy's ``choice`` has them."""
+    """The running sums of ``p`` over their total; the last is exactly 1.0."""
     cdf = list(accumulate(p))
     return [c / cdf[-1] for c in cdf]
 
@@ -671,12 +579,14 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
     fire after a delay resampled from their empirical distribution, silent
     ones immediately.  Firings due at the same instant execute in transition
     id order.  Once ``max_firings`` transitions have been drawn no more are,
-    and the trace ends when those drawn have fired.  Each trace draws from
-    its own random stream, numpy's PCG64 ``default_rng((seed, trace
-    index))`` reimplemented in pure Python, so generation is reproducible,
-    traces are independent, and the draws are those numpy would make.  A
-    negative ``n_traces``, ``seed`` or ``max_firings`` raises ``ValueError``
-    before any draw.
+    and the trace ends when those drawn have fired.  Trace ``i`` draws from
+    its own stream, ``random.Random(f"{seed}:{i}")``, so generation is
+    reproducible, traces are independent, and the first ``k`` of ``n``
+    traces are the ``k`` traces a run of ``k`` gives.  A ``str`` seed is
+    hashed with SHA-512, so the output does not depend on the hash seed
+    (``PYTHONHASHSEED``).  The draws are not those
+    ``default_rng((seed, i))`` makes.  A negative ``n_traces``, ``seed`` or
+    ``max_firings`` raises ``ValueError`` before any draw.
     """
     if n_traces < 0:
         raise ValueError("n_traces must be nonnegative")
@@ -704,7 +614,7 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
 
     traces: list[Trace] = []
     for trace_no in range(n_traces):
-        stream = _Stream((seed, trace_no))
+        rng = random.Random(f"{seed}:{trace_no}")
         counts: dict[str, int] = {p: n for p, n in net.initial_marking.items() if n > 0}
         pending: list[tuple[float, int, str]] = []
         emitted: list[tuple[float, int, str]] = []
@@ -723,11 +633,11 @@ def simulate(fspn: StochasticPetriNet, n_traces: int, seed: int = 42,
                             continue
                     else:
                         outs, cdf = route
-                        chosen = outs[stream.choice(cdf)]
+                        chosen = outs[bisect_right(cdf, rng.random())]
                     # free choice: a transition other than a join has one input
                     remove_tokens(counts, kernel.pre[chosen])
                     pool = delay_pool.get(chosen)
-                    delay = 0.0 if pool is None else float(pool[stream.integers(len(pool))])
+                    delay = 0.0 if pool is None else float(rng.choice(pool))
                     heapq.heappush(pending, (clock + delay, t_index[chosen], chosen))
                     fired += 1
                 if fired > routed_from and pending[0][0] > clock:

@@ -15,7 +15,9 @@ is left out on purpose: its provenance may change by design.  Its CSV twin
 measures, their column order and how ``compare`` relates them stay fixed;
 adding or changing a measure updates these digests on purpose.  The two
 ``conformance.json`` digests changed when the file gained its
-``prefix_only`` and ``failing`` counts and a ``kind`` per failure.
+``prefix_only`` and ``failing`` counts and a ``kind`` per failure.  The
+three simulated-CSV digests changed when ``simulate`` moved to one stdlib
+``random.Random`` stream per trace.
 
 Run ``python tests/test_bytes.py`` to print the digests of the current code.
 """
@@ -28,9 +30,9 @@ import sys
 from pathlib import Path
 
 from repostminer.cli import main
-from repostminer.petri import PetriNet
 from repostminer.reference_nets import threshold_fspn
-from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet, fspn_to_json
+from repostminer.stochastic import fspn_to_json
+from treeutil import loop_fspn
 
 PINNED = {
     "flower/net.json": "57b8687c8cc428ad9842cc519373c7a342b036b50c3ddbe71b7316d42ae2a300",
@@ -39,9 +41,9 @@ PINNED = {
     "broadcast/net.json": "7a6012000c0f1b4594b3c1034ec6a31c2949017f2b13b693f84004da0bce44eb",
     "broadcast/fspn.json": "2c94727e8a394a9aa1bde561cc2d1c0a15691133a642b7e68eeeaeee99a6be9b",
     "broadcast/conformance.json": "95aa8900023f2232a42da966fea344dcfeb2d8b3ed84c8fff923e2f0225a17c1",
-    "simulated.csv": "7ae93544c6db1f5c28906cdcbb8114a256c76960949341dfa4edf61a10592386",
-    "broadcast-simulated.csv": "06cbb029b873b02aec1ab429a4d16e5101d1c125812e10ca358f120adca7e08c",
-    "loop-simulated.csv": "3e60c86e84339c0ccabebe2503d7663e4022036087eda015677a0f93a9bd40da",
+    "simulated.csv": "20e47536b8f6aa2e817d1e78e99637ea4110cccb44226e7067907e9187f6a6df",
+    "broadcast-simulated.csv": "6da7fef9c73f08233333bf6c761b275d730313ea05a57dffa48f17fa6cf8cacf",
+    "loop-simulated.csv": "049be696093776cd066552e8ba8fcc76aa53646f94695e71890e66fe3ebb67e6",
     "flower/report.csv": "99cfd5fabede834bbccf4d25abc2759ebfebbd29d9a48a693ec9565b4c256101",
     "broadcast/report.csv": "4191bd6ba0b720f33cada7b5922131d02eccef8cbe2f77ca9e1dad30b9d24d33",
     "flower/model.dot": "ce7e46905fce0242025253d68bd4346c8fbcdd1ba217e03c3bc9cade5c3e9785",
@@ -85,34 +87,6 @@ def broadcast_log(path, cascades=30, bots=6, seed=6):
             t += rng.randint(2, 20)
             rows.append((f"b{c:03d}", who, t))
     _write_csv(path, rows)
-
-
-def loop_fspn():
-    """A choice place starting with 3 tokens feeds A or B; a silent join
-    waits for one of each, then C ends the round or a silent loop puts two
-    tokens back (one through D).  Routing takes several passes per instant,
-    an unmatched token leaves the join waiting for good, and long runs hit
-    the firing cap."""
-    net = PetriNet(
-        places=("p0", "p1", "p2", "p3", "p4"),
-        transitions=("A", "B", "join", "C", "loop", "D"),
-        arcs=(("p0", "A"), ("p0", "B"), ("A", "p1"), ("B", "p2"),
-              ("p1", "join"), ("p2", "join"), ("join", "p3"),
-              ("p3", "C"), ("p3", "loop"), ("loop", "p0"), ("loop", "p4"),
-              ("p4", "D"), ("D", "p0")),
-        labels={"A": "A", "B": "B", "join": None, "C": "C", "loop": None, "D": "D"},
-        initial_marking={"p0": 3},
-    )
-    return StochasticPetriNet(
-        net,
-        arc_probabilities={("p0", "A"): 0.5, ("p0", "B"): 0.5,
-                           ("p1", "join"): 1.0, ("p2", "join"): 1.0,
-                           ("p3", "C"): 0.1, ("p3", "loop"): 0.9, ("p4", "D"): 1.0},
-        delay_distributions={"A": EmpiricalDelay((1.0, 5.0, 9.0)),
-                             "B": EmpiricalDelay((2.0, 4.0)),
-                             "C": EmpiricalDelay((3.0, 30.0)),
-                             "D": EmpiricalDelay((0.0, 6.0))},
-    )
 
 
 def produce(work):

@@ -505,6 +505,15 @@ class TestCommands:
                  "-m", "repostminer", *map(str, argv)],
                 env=env, capture_output=True, encoding="utf-8", errors="replace")
             assert proc.returncode == 0, proc.stderr
+        # without --out the DOT text goes to stdout, as UTF-8 bytes too
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "repostminer", "export-dot", "--net", str(run / "net.json"), "--reduce"],
+            env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        printed = proc.stdout.decode("utf-8")
+        assert "Zoë" in printed and "東京" in printed
+        assert printed == (tmp_path / "model.dot").read_text(encoding="utf-8")
         for path in run / "model.dot", tmp_path / "model.dot", tmp_path / "sim.csv":
             text = path.read_text(encoding="utf-8")
             assert "Zoë" in text and "東京" in text

@@ -8,7 +8,6 @@ import time
 from collections import deque
 from itertools import permutations
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,9 +28,7 @@ from repostminer.stochastic import (
     ReplayResult,
     StatsError,
     StochasticPetriNet,
-    _cdf,
     _silent_path,
-    _Stream,
     _with_search,
     enrich,
     enrich_from_tally,
@@ -44,7 +41,7 @@ from repostminer.stochastic import (
     tally_replays,
     waiting_time_stats,
 )
-from treeutil import process_trees, random_tree, uniform_fspn
+from treeutil import loop_fspn, process_trees, random_tree, uniform_fspn
 
 
 def timed_trace(pairs, trace_id="x"):
@@ -706,6 +703,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(threshold_fspn(), -1)
 
+    def test_simulate_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            simulate(threshold_fspn(), 1, seed=-1)
+        with pytest.raises(ValueError, match="seed"):  # checked before any draw
+            simulate(threshold_fspn(), 0, seed=-1)
+
     def test_zero_traces(self):
         assert len(simulate(threshold_fspn(), 0)) == 0
 
@@ -718,6 +721,15 @@ class TestSimulate:
         a = simulate(threshold_fspn(), 50, seed=3)
         b = simulate(threshold_fspn(), 50, seed=4)
         assert a != b
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("fspn", [uniform_fspn(broadcast_net()), loop_fspn()],
+                             ids=["broadcast", "loop"])
+    def test_each_trace_has_its_own_stream(self, fspn, seed):
+        # trace i's draws depend on the seed and i only, not on how many
+        # traces come before or after it
+        first = simulate(fspn, 50, seed=seed, max_firings=40).traces[:20]
+        assert first == simulate(fspn, 20, seed=seed, max_firings=40).traces
 
     def test_constant_delay_chain_identical_traces(self):
         net = sequential_net()
@@ -765,54 +777,6 @@ class TestSimulate:
         net = tree_to_net(par(activity("a"), activity("b"), activity("c")))
         log = simulate(uniform_fspn(net), 300, seed=5)
         assert {t.activities() for t in log} == set(permutations("abc"))
-
-
-def probabilities(weights):
-    """Weights normalised as ``simulate`` normalises a place's arcs."""
-    total = sum(weights)
-    return [w / total for w in weights]
-
-
-DRAWS = st.lists(st.one_of(
-    st.tuples(st.just("choice"),
-              st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 3.0]),
-                       min_size=1, max_size=6).filter(any).map(probabilities)),
-    st.tuples(st.just("integers"),
-              st.one_of(st.sampled_from([1, 2, 12345, 2**31 + 11]),
-                        st.integers(1, 2**32)))),
-    max_size=40)
-
-
-class TestStream:
-    """The pure-Python stream ``simulate`` draws from against numpy's
-    ``default_rng``: seeds of one, two and more than four uint32 words,
-    probabilities with zeros and of length 1, and bounds of 1 (no draw),
-    2**31 + 11 (rejection half the time) and up to 2**32."""
-
-    @given(st.one_of(st.just(0), st.integers(2**32, 2**64 - 1),
-                     st.integers(2**64, 2**200), st.integers(0, 2**32 - 1)),
-           st.integers(0, 10**6), DRAWS)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_numpy_default_rng(self, seed, trace_no, draws):
-        rng, stream = np.random.default_rng((seed, trace_no)), _Stream((seed, trace_no))
-        for kind, arg in draws:
-            if kind == "choice":
-                assert stream.choice(_cdf(arg)) == rng.choice(len(arg), p=arg)
-            else:
-                assert stream.integers(arg) == rng.integers(arg)
-
-    @pytest.mark.parametrize("entropy", [(-1, 0), (5, -1), (-(2**70), 3)])
-    def test_negative_entropy_rejected(self, entropy):
-        with pytest.raises(ValueError):
-            np.random.default_rng(entropy)
-        with pytest.raises(ValueError):
-            _Stream(entropy)
-
-    def test_simulate_rejects_negative_seed(self):
-        with pytest.raises(ValueError):
-            simulate(threshold_fspn(), 1, seed=-1)
-        with pytest.raises(ValueError, match="seed"):  # checked before any draw
-            simulate(threshold_fspn(), 0, seed=-1)
 
 
 class TestFspnJson:

@@ -1,4 +1,5 @@
-"""Shared helpers for tests over random process trees and their nets."""
+"""Shared helpers for tests over random process trees and their nets, and
+a hand-built loop net that simulation tests share."""
 
 from collections import deque
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from repostminer.discovery import (ACTIVITY, LOOP, PAR, SEQ, XOR, activity, loop, par, seq, tau,
                                    tree_to_net, xor)
 from repostminer.eventlog import EventLog, Trace
-from repostminer.petri import enabled, fire
+from repostminer.petri import PetriNet, enabled, fire
 from repostminer.stochastic import EmpiricalDelay, StochasticPetriNet, replay_log, simulate
 
 
@@ -157,6 +158,34 @@ def uniform_fspn(net):
         probabilities.update({(place, t): 1 / len(outs) for t in outs})
     delays = {t: EmpiricalDelay(SPREAD_DELAYS) for t in net.transitions if not net.is_silent(t)}
     return StochasticPetriNet(net, probabilities, delays)
+
+
+def loop_fspn():
+    """A choice place starting with 3 tokens feeds A or B; a silent join
+    waits for one of each, then C ends the round or a silent loop puts two
+    tokens back (one through D).  Routing takes several passes per instant,
+    an unmatched token leaves the join waiting for good, and long runs hit
+    the firing cap."""
+    net = PetriNet(
+        places=("p0", "p1", "p2", "p3", "p4"),
+        transitions=("A", "B", "join", "C", "loop", "D"),
+        arcs=(("p0", "A"), ("p0", "B"), ("A", "p1"), ("B", "p2"),
+              ("p1", "join"), ("p2", "join"), ("join", "p3"),
+              ("p3", "C"), ("p3", "loop"), ("loop", "p0"), ("loop", "p4"),
+              ("p4", "D"), ("D", "p0")),
+        labels={"A": "A", "B": "B", "join": None, "C": "C", "loop": None, "D": "D"},
+        initial_marking={"p0": 3},
+    )
+    return StochasticPetriNet(
+        net,
+        arc_probabilities={("p0", "A"): 0.5, ("p0", "B"): 0.5,
+                           ("p1", "join"): 1.0, ("p2", "join"): 1.0,
+                           ("p3", "C"): 0.1, ("p3", "loop"): 0.9, ("p4", "D"): 1.0},
+        delay_distributions={"A": EmpiricalDelay((1.0, 5.0, 9.0)),
+                             "B": EmpiricalDelay((2.0, 4.0)),
+                             "C": EmpiricalDelay((3.0, 30.0)),
+                             "D": EmpiricalDelay((0.0, 6.0))},
+    )
 
 
 def random_replays(rng):
