@@ -3,10 +3,11 @@
 Density and diameter treat the net as a directed graph over places and
 transitions.  Behavior is summarized by the Kolmogorov-Sinai entropy of a
 Markov chain over the markings replays visit, each replay closed end-to-start;
-:func:`replay_entropy` takes it from the move counts of
-``stochastic.tally_replays``, with no reachability graph or transition
-matrix.  A two-sample Kolmogorov-Smirnov test compares waiting-time samples
-between runs.  Every measure is plain Python.
+:func:`replay_entropy` takes it from the move counts of a replay tally
+(``stochastic.tally_log`` over a log, ``tally_replays`` over replays), with
+no reachability graph or transition matrix.  A two-sample
+Kolmogorov-Smirnov test compares waiting-time samples between runs.  Every
+measure is plain Python.
 """
 
 from __future__ import annotations

@@ -263,9 +263,8 @@ def _run_single(name: str, log: eventlog.EventLog, config: PipelineConfig,
         tree = discovery.discover_tree(log, config.noise_threshold)
         net = discovery.tree_to_net(tree)
     traces, events = len(log), log.event_count()
-    with _stage("replay"):  # each replay is let go once tallied, the log after all
-        tally = stochastic.tally_replays(
-            net, (stochastic.replay_trace(net, trace) for trace in log.traces))
+    with _stage("replay"):  # no replay is built on a discovered net; the log is let go
+        tally = stochastic.tally_log(net, log.traces)
         del log
     with _stage("enrich"):
         fspn = stochastic.enrich_from_tally(net, tally)
@@ -383,8 +382,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         net = petri.net_from_json(Path(args.net).read_text(encoding="utf-8"))
     log = _read_log(Path(args.input), config)
     with _stage("replay"):
-        tally = stochastic.tally_replays(
-            net, (stochastic.replay_trace(net, trace) for trace in log.traces))
+        tally = stochastic.tally_log(net, log.traces)
         del log
     with _stage("analyze"):
         values, files, _ = measure(net, tally, config.entropy_log_base, {

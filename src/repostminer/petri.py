@@ -12,6 +12,7 @@ and memos, is ``stochastic``'s; the kernel only keeps it for the net.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from .record import Record
@@ -361,15 +362,68 @@ def net_to_doc(net: PetriNet) -> dict[str, object]:
     return {
         "places": list(net.places),
         "transitions": [{"id": t, "label": net.label(t)} for t in net.transitions],
-        "arcs": [list(a) for a in net.arcs],
+        "arcs": list(net.arcs),
         "initial_marking": {p: int(n) for p, n in sorted(net.initial_marking.items())},
     }
 
 
 def json_text(doc: object) -> str:
     """The package's canonical JSON text: indent 2, sorted keys, a trailing
-    newline; every JSON artifact is written in it."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    newline; every JSON artifact is written in it.
+
+    It is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, built
+    without the pure-Python encoder that ``json`` falls back to whenever
+    ``indent`` is set: strings go through json's ASCII escaper, ints and
+    floats through their ``repr`` (``NaN``, ``Infinity`` and ``-Infinity``
+    as json writes them), and each container's items are joined once.  A
+    dict key that is not a ``str`` raises ``TypeError``."""
+    return _json(doc, "\n") + "\n"
+
+
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_FLOATS.get(text, text)
+
+
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+                 bool: {True: "true", False: "false"}.__getitem__,
+                 type(None): lambda _: "null"}
+
+
+def _json(value: object, indent: str) -> str:
+    """``value``'s canonical JSON text, nested at ``indent``, the newline
+    and spaces that start each of its lines but the first."""
+    if (scalar := _JSON_SCALARS.get(type(value))) is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        quote = encode_basestring_ascii  # a TypeError for a key that is no str
+        texts = [f"{quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        brackets = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {float}:  # as delay samples are: no call per float
+            texts = list(map(float.__repr__, value))
+            if not _JSON_FLOATS.keys().isdisjoint(texts):
+                texts = [_JSON_FLOATS.get(text, text) for text in texts]
+        else:
+            texts = [_json(v, inner) for v in value]
+        brackets = "[", "]"
+    else:
+        for kind in (str, int, float):  # a subclass, such as an IntEnum
+            if isinstance(value, kind):
+                return _JSON_SCALARS[kind](value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    texts[0] = brackets[0] + inner + texts[0]  # the text is joined once
+    texts[-1] += indent + brackets[1]
+    return ("," + inner).join(texts)
 
 
 def net_to_json(net: PetriNet) -> str:

@@ -6,7 +6,10 @@ and when it fired.  One walk over the replays, :func:`tally_replays`,
 gathers what every later stage reads: the firing counts behind the arc
 probabilities, the waits behind the per-account delay distributions and
 waiting statistics, the marking moves whose entropy
-``analysis.replay_entropy`` takes, and the failed replays.  Replay's
+``analysis.replay_entropy`` takes, and the failed replays.  The CLI tallies
+traces with :func:`tally_log`, which gives the same tally; on a
+block-structured net it builds no replay: each memoized step carries a
+token-time program, and the tally counts steps, not firings.  Replay's
 silent-path search, with its relevance plans, completion distance and
 memo, lives here too, one state per net (``_Search``).  Simulation gives
 each trace ``i`` its own stdlib stream, ``random.Random(f"{seed}:{i}")``,
@@ -23,7 +26,7 @@ import random
 from bisect import bisect_right
 from collections import Counter, deque
 from itertools import accumulate
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .eventlog import Event, EventLog, Trace
 from .petri import (Kernel, Marking, PetriNet, add_tokens, is_block_structured,
@@ -149,14 +152,16 @@ class StochasticPetriNet(Record):
 class _Search:
     """Replay's silent-path search state for one net, kept in its kernel's
     ``search`` slot from the net's first replay on, so that every replay on
-    the net shares it: each account's :func:`_plan`, the net's
-    :func:`_completion_distance` if it is block-structured (else ``None``)
-    and one memo, ``steps``, which maps ``(state, account)``, with ``None``
-    for completion, to the state after the step and the transitions it
-    fires, or to ``None`` when there is no step.
+    the net shares it: each account's :func:`_plan`; whether the net is
+    block-structured (``safe``) and, if it is, its
+    :func:`_completion_distance` (else ``None``); one memo, ``steps``,
+    which maps ``(state, account)``, with ``None`` for completion, to the
+    step (see :func:`_step`), or to ``None`` when there is no step; and
+    ``shared``, which holds each tuple of the steps' token-time programs
+    once.
     """
 
-    __slots__ = ("plans", "completion", "steps")
+    __slots__ = ("plans", "safe", "completion", "steps", "shared")
 
     def __init__(self, net: PetriNet) -> None:
         kernel, labels, goals = net.kernel, net.labels, {}
@@ -165,9 +170,10 @@ class _Search:
                 goals[label] = goals.get(label, ()) + (t,)
         feeders = {p: [t for t in kernel.pre[p] if labels[t] is None] for p in net.places}
         self.plans = {label: _plan(kernel, feeders, ts) for label, ts in goals.items()}
-        self.completion = (_completion_distance(kernel)
-                           if is_block_structured(kernel) else None)
+        self.safe = is_block_structured(kernel)
+        self.completion = _completion_distance(kernel) if self.safe else None
         self.steps: dict[tuple[Marking, str | None], tuple | None] = {}
+        self.shared: dict[tuple, tuple] = {}
 
 
 def _with_search(net: PetriNet) -> Kernel:
@@ -342,18 +348,53 @@ def _descend(kernel: Kernel, completion: tuple[int, dict[str, int | None], tuple
 _UNSEEN = object()
 
 
-def _step(kernel: Kernel, state: Marking,
-          goal: str | None) -> tuple[Marking, tuple[str, ...]] | None:
-    """The state after ``_silent_path`` from ``state`` for ``goal``, and the
-    transitions it fires, memoized by (state, goal) in the kernel's search
-    state."""
+def _step(kernel: Kernel, state: Marking, goal: str | None) -> tuple | None:
+    """The step ``_silent_path`` takes from ``state`` for ``goal``,
+    memoized by (state, goal) in the kernel's search state: the state after
+    the step and the transitions it fires, followed, for a goal on a net
+    with the safety certificate, by the step's token-time program
+    (:func:`_program`); or ``None`` when there is no step."""
     search: _Search = kernel.search  # type: ignore[assignment]
     if (found := search.steps.get((state, goal), _UNSEEN)) is not _UNSEEN:
         return found
-    fired = _silent_path(kernel, dict(state), goal)
-    found = search.steps[state, goal] = (
-        None if fired is None else (kernel.successor(state, *fired), fired))
+    found = None
+    if (fired := _silent_path(kernel, dict(state), goal)) is not None:
+        found = kernel.successor(state, *fired), fired
+        if goal is not None and search.safe:
+            found += _program(kernel, fired, search.shared)
+    search.steps[state, goal] = found
     return found
+
+
+def _program(kernel: Kernel, fired: tuple[str, ...], shared: dict[tuple, tuple],
+             ) -> tuple[tuple[str, ...], tuple, tuple[str, ...]]:
+    """How a goal step, ``fired``, moves token times on a safe net,
+    ``(sources, sets, outs)``, in terms of the times before the step: the
+    goal, ``fired[-1]``, is enabled at the latest time of ``sources``,
+    clamped below at 0.0; each ``(place, its sources)`` of ``sets`` is a
+    place the step's silent firings leave marked, at the latest time of
+    its sources; ``outs``, the goal's outputs, get the event's stamp.
+    :func:`replay_trace` clamps each silent firing's time too, which gives
+    the same goal times.  An emptied place is not listed, as a safe net's
+    place time is read only while its token is there.  The tuples come
+    from the kernel or from ``shared``, so that steps share them."""
+    pre, pure_in, pure_out = kernel.pre, kernel.pure_in, kernel.pure_out
+    *path, goal = fired
+    if not path:
+        return pre[goal], (), pure_out[goal]
+    origin: dict[str, tuple[str, ...] | None] = {}  # place -> its token's sources
+
+    def sources(t: str) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(q for p in pre[t] for q in origin.get(p, (p,))))
+
+    for t in path:
+        srcs = sources(t)
+        origin.update(dict.fromkeys(pure_in[t]))
+        origin.update(dict.fromkeys(pure_out[t], srcs))
+    sets = tuple((p, srcs) for p, srcs in origin.items()
+                 if srcs is not None and p not in pure_in[goal])
+    srcs = sources(goal)
+    return shared.setdefault(srcs, srcs), shared.setdefault(sets, sets), pure_out[goal]
 
 
 def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
@@ -397,7 +438,7 @@ def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
         if found is None:
             return ReplayResult(trace.trace_id, tuple(firings), False,
                                 None if event is None else index)
-        state, steps = found
+        state, steps = found[0], found[1]
         if event is not None:
             stamp = float(event.timestamp)
         for t in steps:
@@ -472,11 +513,90 @@ def tally_replays(net: PetriNet, replays: Iterable[ReplayResult]) -> ReplayTally
                                  f"it is not enabled")
         key = state, None
         steps[key] = steps.get(key, 0) + 1
-    # A move is first seen at the first firing of one of its keys, so folding
-    # the keys in first-seen order keeps the moves' first-seen order.
+    return _fold(kernel, conforming, steps.items(), waits, failures)
+
+
+def tally_log(net: PetriNet, traces: Iterable[Trace]) -> ReplayTally:
+    """``tally_replays(net, (replay_trace(net, t) for t in traces))``,
+    without building a firing or a replay on a net that
+    ``petri.is_block_structured`` certifies.  Such a net is safe, so a
+    trace's token times are one float per place, and each event costs one
+    lookup of its memoized step (:func:`_step`), whose token-time program
+    gives the wait and moves the times on.  A fitting trace's steps are
+    counted by their memo keys; each step counted becomes its firings once,
+    at the end.  Any other net is replayed firing by firing."""
+    kernel = _with_search(net)
+    search: _Search = kernel.search  # type: ignore[assignment]
+    if not search.safe:
+        return tally_replays(net, (replay_trace(net, trace) for trace in traces))
+    memo, labels, start = search.steps, net.labels, kernel.start
+    (marked,) = kernel.marked  # the certificate's one marked place
+    conforming = 0
+    taken: Counter[tuple[Marking, str | None]] = Counter()  # memo key -> steps
+    waits: dict[str, tuple[str, list[float]]] = {}
+    failures: list[tuple[str, int | None]] = []
+    for trace in traces:
+        events, state, keys, goals = trace.events, start, [], []
+        times = {marked: float(events[0].timestamp) if events else 0.0}
+        for index, event in enumerate(events):
+            if (found := memo.get(key := (state, event.activity), _UNSEEN)) is _UNSEEN:
+                found = _step(kernel, state, event.activity)
+            if found is None:
+                failures.append((trace.trace_id, index))
+                break
+            state, fired, sources, sets, outs = found
+            keys.append(key)
+            enabled_at = 0.0
+            for p in sources:
+                if times[p] > enabled_at:
+                    enabled_at = times[p]
+            if sets:
+                times.update([(p, max(map(times.__getitem__, srcs))) for p, srcs in sets])
+            stamp = float(event.timestamp)
+            for p in outs:
+                times[p] = stamp
+            wait = stamp - enabled_at
+            goals.append((fired[-1], wait if wait > 0.0 else 0.0))
+        else:
+            if _step(kernel, state, None) is None:
+                failures.append((trace.trace_id, None))
+                continue
+            keys.append((state, None))
+            taken.update(keys)
+            conforming += 1
+            for goal, wait in goals:
+                if goal not in waits:
+                    waits[goal] = labels[goal], []
+                waits[goal][1].append(wait)
+    succ = kernel.succ
+
+    def firings() -> Iterator[tuple[tuple[Marking, str | None], int]]:
+        # A firing is first made in the first step taken that makes it, so
+        # the steps' firings, in the order the steps were first taken, come
+        # in the firings' first-seen order.
+        for (state, goal), n in taken.items():
+            for t in memo[state, goal][1]:
+                yield (state, t), n
+                state = succ[state, t]
+            if goal is None:  # the trace ends: its closing move
+                yield (state, None), n
+
+    return _fold(kernel, conforming, firings(), waits, failures)
+
+
+def _fold(kernel: Kernel, conforming: int,
+          counts: Iterable[tuple[tuple[Marking, str | None], int]],
+          waits: dict[str, tuple[str, list[float]]],
+          failures: list[tuple[str, int | None]]) -> ReplayTally:
+    """The tally of the firing counts ``counts``, pairs of a key ``(state,
+    transition)``, with ``(state, None)`` a replay's closing move, and a
+    count, each key first given in the order the keys were first fired.
+    A move is first seen at the first firing of one of its keys, so folding
+    the keys in that order keeps the moves' first-seen order."""
+    succ, start = kernel.succ, kernel.start
     fired: Counter[str] = Counter()
     moves: dict[tuple[Marking, Marking], int] = {}
-    for (state, t), n in steps.items():
+    for (state, t), n in counts:
         if t is None:
             move = state, start
         else:
@@ -549,7 +669,7 @@ def fspn_to_json(fspn: StochasticPetriNet) -> str:
         for (p, t), prob in sorted(fspn.arc_probabilities.items())
     ]
     doc["delay_distributions"] = {
-        t: list(d.samples) for t, d in sorted(fspn.delay_distributions.items())
+        t: d.samples for t, d in sorted(fspn.delay_distributions.items())
     }
     return json_text(doc)
 

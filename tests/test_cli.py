@@ -5,6 +5,7 @@ import math
 import operator
 import os
 import random
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import repostminer
-from repostminer import analysis, cli
+from repostminer import analysis, cli, stochastic
 from repostminer.cli import (
     PipelineConfig,
     PipelineError,
@@ -343,6 +344,32 @@ class TestCommands:
         assert code == 0
         assert ((redo / "report.csv").read_text()
                 == (out / "fixture" / "report.csv").read_text())
+
+    def test_discover_and_analyze_build_no_replay(self, tmp_path, fixture_log,
+                                                  monkeypatch):
+        # the tally of a discovered net comes from tally_log's memoized
+        # steps; replay_trace, which builds every Firing and ReplayResult,
+        # is not called, and every file has the bytes it has when it may be
+        # (analyze records its net's path, so both runs write to one place)
+        out = tmp_path / "out"
+
+        def run():
+            assert main(["discover", "--input", str(fixture_log), "--out", str(out)]) == 0
+            assert main(["analyze", "--net", str(out / "fixture" / "net.json"),
+                         "--input", str(fixture_log), "--out", str(out / "analyze")]) == 0
+            files = {path.relative_to(out): path.read_bytes()
+                     for path in sorted(out.rglob("*")) if path.is_file()}
+            shutil.rmtree(out)
+            return files
+
+        expected = run()
+
+        def no_replay(net, trace):
+            raise AssertionError("replay_trace called")
+
+        monkeypatch.setattr(stochastic, "replay_trace", no_replay)
+        got = run()
+        assert got == expected and len(got) == 9
 
     def test_analyze_writes_conformance(self, tmp_path, fixture_log):
         out = tmp_path / "out"

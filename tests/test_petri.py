@@ -1,8 +1,12 @@
 import gc
+import json
+import math
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repostminer.discovery import activity, par, seq, tau, tree_to_net, xor
 from repostminer.eventlog import Event, Trace
@@ -15,6 +19,7 @@ from repostminer.petri import (
     enabled,
     fire,
     is_free_choice,
+    json_text,
     net_from_json,
     net_to_json,
     reachability_graph,
@@ -231,7 +236,34 @@ class TestReachability:
         assert held / reached < 1500
 
 
+# Every scalar json writes, the corner cases of each named: non-ASCII text,
+# control characters and quotes; signed zeros, the largest and smallest
+# magnitudes and the non-finite floats.
+JSON_SCALARS = (
+    st.text()
+    | st.sampled_from(["Zoë", "\x00\x1f\x7f", '"\\/', "\u2028\U0001f600", ""])
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf])
+    | st.booleans()
+    | st.none())
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | st.lists(st.floats()) | st.lists(st.text()),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=12)
+
+
 class TestJson:
+    @given(JSON_DOCS)
+    @settings(deadline=None)
+    def test_text_is_json_dumps(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [{1: "a"}, {"a": {"b": 1, 2: 3}}, [{None: 1}]])
+    def test_key_that_is_no_str_rejected(self, doc):
+        with pytest.raises(TypeError):
+            json_text(doc)
+
     def test_roundtrip(self):
         net = broadcast_net()
         again = net_from_json(net_to_json(net))

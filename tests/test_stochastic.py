@@ -38,6 +38,7 @@ from repostminer.stochastic import (
     replay_log,
     replay_trace,
     simulate,
+    tally_log,
     tally_replays,
     waiting_time_stats,
 )
@@ -323,6 +324,12 @@ class TestSilentSearch:
         assert kernel.search.completion is None
         assert (_silent_path(kernel, {"s": 1}, None)
                 == reference_path(net, {"s": 1}, None) == ("ta",))
+        # tally_log replays a net without the certificate firing by firing
+        assert not kernel.search.safe
+        traces = [timed_trace([]), timed_trace([("x", 3)], "y")]
+        tally = tally_log(net, traces)
+        assert (tally.conforming, tally.failures) == (1, [("y", 0)])
+        assert_same_tally(tally, tally_replays(net, [replay_trace(net, t) for t in traces]))
 
     def test_goal_search_expands_only_feeding_transitions(self):
         # ->(A, /\(B, C)): the split feeds B and C, the join feeds nothing
@@ -393,11 +400,24 @@ def mutant(net, rng):
     return PetriNet(tuple(places), tuple(transitions), tuple(arcs), labels, marking)
 
 
+def assert_safe(net):
+    """No reachable marking of ``net`` holds two tokens on one place, which
+    ``tally_log``'s token-time programs assume of a certified net; a graph
+    over 2,000 markings is not checked."""
+    try:
+        states = reachability_graph(net, state_cap=2000).states
+    except StateCapError:
+        return
+    assert all(n == 1 for _, n in set().union(*states)), net
+
+
 class TestBlockStructure:
     @given(process_trees("abcdef", width=6))
     @settings(deadline=None)
     def test_every_tree_net_is_certified(self, tree):
-        assert is_block_structured(tree_to_net(tree).kernel)
+        net = tree_to_net(tree)
+        assert is_block_structured(net.kernel)
+        assert_safe(net)
 
     @pytest.mark.parametrize("net", [
         net_of([("s", "ta"), ("ta", "a"), ("s", "tb"), ("tb", "b"),
@@ -430,6 +450,7 @@ class TestBlockStructure:
             except StateCapError:
                 continue
             certified += 1
+            assert all(n == 1 for _, n in set().union(*states)), net  # safe
             _with_search(net)
             for marking in states:
                 counts = dict(marking)
@@ -588,6 +609,25 @@ def outcome(compute):
         return type(exc), str(exc)
 
 
+def assert_same_tally(got, expected):
+    """Every field of two tallies is equal, each dict and list in the same
+    order."""
+    assert got.conforming == expected.conforming
+    assert list(got.fired.items()) == list(expected.fired.items())
+    assert list(got.waits.items()) == list(expected.waits.items())
+    assert list(got.moves.items()) == list(expected.moves.items())
+    assert got.failures == expected.failures
+
+
+def assert_log_tally_equals_reference(net, log):
+    """``tally_log`` over the log, on a fresh copy of the net, equals the
+    tally of the log's replays, which equals the reference's own walks."""
+    replays = replay_log(net, log)
+    fresh = net_from_json(net_to_json(net))
+    assert_same_tally(tally_log(fresh, log.traces), tally_replays(net, replays))
+    assert_tally_equals_reference(net, replays)
+
+
 def assert_tally_equals_reference(net, replays):
     """Enrichment, waiting stats and entropy from one tally equal, exactly,
     those of the reference's own walks, or fail with the same error."""
@@ -623,7 +663,7 @@ class TestTally:
     def test_equals_reference_walks(self, tree, seed, n_traces, edits):
         net = tree_to_net(tree)
         log = edited_log(uniform_fspn(net), seed, n_traces, edits, max_firings=60)
-        assert_tally_equals_reference(net, replay_log(net, log))
+        assert_log_tally_equals_reference(net, log)
 
     @given(st.lists(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 50)),
                              max_size=4), max_size=8))
@@ -631,8 +671,7 @@ class TestTally:
     def test_repeated_labels_equal_reference_walks(self, traces):
         log = make_log([[(a, sum(gap for _, gap in trace[:i + 1]))
                          for i, (a, _) in enumerate(trace)] for trace in traces])
-        replays = replay_log(REPEATED_LABELS, log)
-        assert_tally_equals_reference(REPEATED_LABELS, replays)
+        assert_log_tally_equals_reference(REPEATED_LABELS, log)
 
     def test_repeated_label_waits_pool_across_transitions(self):
         log = make_log([[("a", 0), ("a", 4), ("a", 10)], [("a", 1), ("b", 3), ("a", 8)]])
@@ -650,6 +689,21 @@ class TestTally:
         assert tally.waits == {"t1": ("a", [0.0]), "t3": ("a", [0.0])}
         assert [f.wait for f in firings] == [0.0, 0.0]
         assert_tally_equals_reference(REPEATED_LABELS, replays)
+        # Before 1970 a stamp is negative, and an enabling time is clamped
+        # below at 0.0, as a silent firing passes it on: b waits 30 s, not
+        # 130, and on /\(b, c) c waits 20 s; equal stamps wait 0.0.
+        log = make_log([[("a", -100), ("b", 30), ("a", 50)], [("a", 7)] * 3])
+        assert tally_log(REPEATED_LABELS, log.traces).waits == {
+            "t1": ("a", [0.0, 0.0]), "t2": ("b", [30.0]), "t4": ("a", [20.0, 0.0]),
+            "t3": ("a", [0.0])}
+        assert_log_tally_equals_reference(REPEATED_LABELS, log)
+        net = tree_to_net(seq(activity("a"), par(activity("b"), activity("c"))))
+        log = make_log([[("a", -100), ("b", 10), ("c", 20)],
+                        [("a", -5), ("c", -5), ("b", -5)]])
+        waits = tally_log(net, log.traces).waits
+        assert {label: samples for label, samples in waits.values()} == {
+            "a": [0.0, 0.0], "b": [10.0, 0.0], "c": [20.0, 0.0]}
+        assert_log_tally_equals_reference(net, log)
 
     def test_failures_in_replay_order(self):
         net = broadcast_net()  # A, then B and C in either order
